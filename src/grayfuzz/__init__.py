@@ -43,9 +43,8 @@ from .fuzzy import (
     DefuzzResult,
     FuzzyOutput,
     FuzzyPartition,
-    FuzzyRule,
-    MembershipFunction,
     RuleBase,
+    RuleCandidates,
     build_partition,
     combine,
     defuzzify,

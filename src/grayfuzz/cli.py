@@ -249,7 +249,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_KEYS = {"images", "sigmas", "seeds", "methods", "compare", "regions", "stride", "csv", "out_dir"}
+# Expected JSON value of each benchmark config key: (type, element type of a
+# list, wording for the error message).
+_CONFIG_TYPES = {
+    "images": (list, str, "a list of paths"),
+    "sigmas": (list, (int, float), "a list of numbers"),
+    "seeds": (list, int, "a list of integers"),
+    "methods": (list, str, "a list of method names"),
+    "compare": (str, None, "a string"),
+    "regions": (int, None, "an integer"),
+    "stride": (int, None, "an integer"),
+    "csv": (str, None, "a string"),
+    "out_dir": (str, None, "a string"),
+}
+
+
+def _is_json(value, kind) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _load_config(path: str) -> dict:
@@ -257,9 +274,15 @@ def _load_config(path: str) -> dict:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise _UsageError("benchmark config must be a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS
+    unknown = set(payload) - set(_CONFIG_TYPES)
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in payload.items():
+        kind, element, wording = _CONFIG_TYPES[key]
+        if not _is_json(value, kind) or (
+            element is not None and not all(_is_json(v, element) for v in value)
+        ):
+            raise _UsageError(f"config key {key!r} must be {wording}")
     return payload
 
 

@@ -1,14 +1,17 @@
 """Triangular membership partitions, rule learning from numeric pairs, and
 min/max inference with centroid decoding over the [0, 255] intensity domain.
 
-Partitions are Ruspini by construction: interior regions are triangles whose
-feet sit on the neighbouring peaks, the two boundary regions are shoulders
-anchored at 0 and 255, so memberships sum to one everywhere.
+A partition is stored as its vector of region peaks, strictly increasing
+from 0 to 255.  Region i rises linearly from peak i-1 to 1 at peak i and
+falls back to 0 at peak i+1; the regions peaking at 0 and 255 are the
+shoulders.  The partition is Ruspini by construction: at any x only the two
+regions bracketing x are non-zero, and their memberships sum to one.
 
-Rule learning is the classic one-pass numeric procedure: every data pair
-votes for the cell combination where its memberships peak, carries a degree
-equal to the product of those memberships, and conflicting votes per
-antecedent are resolved by keeping the strongest.
+Rule learning is the one-pass numeric procedure of Wang & Mendel (1992),
+done as array operations: every data pair votes for the cell combination
+where its memberships peak, carries a degree equal to the product of those
+memberships, and conflicting votes per antecedent are resolved by keeping
+the strongest.
 
 Inference fires each stored rule at ``degree * min(antecedent memberships)``
 and aggregates by pointwise max over a 256-sample output curve.  A rule's
@@ -21,17 +24,17 @@ sitting exactly on a prototype reproduces it exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .image_core import round_half_up
 
 __all__ = [
-    "MembershipFunction",
     "FuzzyPartition",
-    "FuzzyRule",
+    "RuleCandidates",
     "RuleBase",
     "FuzzyOutput",
     "DefuzzResult",
@@ -51,94 +54,70 @@ RULEBASE_SCHEMA = "grayfuzz.rulebase/1"
 
 
 @dataclass(frozen=True)
-class MembershipFunction:
-    """Triangle with feet (left, right) and peak (center); a boundary region
-    degenerates one side (left == center or center == right) and is flat at
-    1 toward the domain edge."""
-
-    left: float
-    center: float
-    right: float
-
-    def __post_init__(self):
-        if not (self.left <= self.center <= self.right):
-            raise ValueError("need left <= center <= right")
-
-    def __call__(self, x: float) -> float:
-        return float(self.evaluate(np.asarray(x, dtype=np.float64)))
-
-    def evaluate(self, x) -> np.ndarray:
-        """Piecewise-linear membership of x (scalar or array)."""
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        if self.center > self.left:
-            rising = (x >= self.left) & (x < self.center)
-            out = np.where(rising, (x - self.left) / (self.center - self.left), out)
-        else:
-            out = np.where(x < self.center, 1.0, out)  # flat shoulder
-        if self.right > self.center:
-            falling = (x > self.center) & (x <= self.right)
-            out = np.where(falling, (self.right - x) / (self.right - self.center), out)
-        else:
-            out = np.where(x > self.center, 1.0, out)  # flat shoulder
-        out = np.where(x == self.center, 1.0, out)
-        return out
-
-
-@dataclass(frozen=True)
 class FuzzyPartition:
-    """Ordered Ruspini family covering [0, 255]; one function per region."""
+    """Ordered Ruspini family covering [0, 255], stored as its region peaks:
+    at least two, finite, strictly increasing, the first 0 and the last 255."""
 
-    functions: Tuple[MembershipFunction, ...]
+    peaks: Tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.functions) < 2:
+        peaks = tuple(float(p) for p in self.peaks)
+        if len(peaks) < 2:
             raise ValueError("a partition needs at least two regions")
-        peaks = [f.center for f in self.functions]
+        if not all(math.isfinite(p) for p in peaks):
+            raise ValueError("region peaks must be finite")
         if any(b <= a for a, b in zip(peaks, peaks[1:])):
-            raise ValueError("region centers must be strictly increasing")
+            raise ValueError("region peaks must be strictly increasing")
+        if peaks[0] != 0.0 or peaks[-1] != DOMAIN_MAX:
+            raise ValueError("region peaks must start at 0 and end at 255")
+        object.__setattr__(self, "peaks", peaks)
 
     @property
     def region_count(self) -> int:
-        return len(self.functions)
+        return len(self.peaks)
 
-    @property
-    def peaks(self) -> List[float]:
-        return [f.center for f in self.functions]
+    def _bracket(self, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, lower, upper) with peaks[i] <= x <= peaks[i+1]: the
+        memberships of x in region i and in region i+1, the only two regions
+        that can be non-zero at x."""
+        x = np.asarray(x, dtype=np.float64)
+        if not np.all((x >= 0.0) & (x <= DOMAIN_MAX)):
+            raise ValueError("values must be finite and lie in [0, 255]")
+        p = np.asarray(self.peaks)
+        i = np.clip(np.searchsorted(p, x, side="right") - 1, 0, p.size - 2)
+        width = p[i + 1] - p[i]
+        return i, (p[i + 1] - x) / width, (x - p[i]) / width
+
+    def _grade(self, region, x) -> np.ndarray:
+        i, lower, upper = self._bracket(x)
+        return np.where(region == i, lower, np.where(region == i + 1, upper, 0.0))
+
+    def _best_region(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """(maximum-membership region, its membership); lower index on ties."""
+        i, lower, upper = self._bracket(x)
+        return np.where(upper > lower, i + 1, i), np.maximum(lower, upper)
 
     def evaluate(self, region_index: int, x) -> np.ndarray:
+        """Membership of x (scalar or array, within [0, 255]) in one region."""
         if not 0 <= region_index < self.region_count:
             raise IndexError(f"region {region_index} out of range")
-        return self.functions[region_index].evaluate(x)
+        return self._grade(region_index, x)
 
     def memberships(self, x) -> np.ndarray:
         """All region memberships at x; shape (region_count,) + x.shape."""
         x = np.asarray(x, dtype=np.float64)
-        return np.stack([f.evaluate(x) for f in self.functions])
-
-    def best_regions(self, x) -> np.ndarray:
-        """Index of the maximum-membership region (lowest index on ties)."""
-        return np.argmax(self.memberships(x), axis=0)
+        regions = np.arange(self.region_count).reshape((-1,) + (1,) * x.ndim)
+        return self._grade(regions, x)
 
     def spike_level(self, region_index: int) -> int:
         """Discretized prototype of a region: its peak as an intensity level."""
         if not 0 <= region_index < self.region_count:
             raise IndexError(f"region {region_index} out of range")
-        level = int(round_half_up(self.functions[region_index].center))
+        level = int(round_half_up(self.peaks[region_index]))
         return min(max(level, 0), 255)
 
     def to_json_dict(self) -> dict:
-        return {"peaks": self.peaks}
-
-
-def _partition_from_peaks(peaks: Sequence[float]) -> FuzzyPartition:
-    peaks = [float(p) for p in peaks]
-    functions = []
-    for i, center in enumerate(peaks):
-        left = peaks[i - 1] if i > 0 else center
-        right = peaks[i + 1] if i + 1 < len(peaks) else center
-        functions.append(MembershipFunction(left=left, center=center, right=right))
-    return FuzzyPartition(functions=tuple(functions))
+        return {"peaks": list(self.peaks)}
 
 
 def _cluster_anchors(anchors: Sequence[float], gap: float) -> List[float]:
@@ -179,43 +158,65 @@ def build_partition(
         gaps = [b - a for a, b in zip(peaks, peaks[1:])]
         widest = gaps.index(max(gaps))
         peaks.insert(widest + 1, (peaks[widest] + peaks[widest + 1]) / 2.0)
-    return _partition_from_peaks(peaks)
+    return FuzzyPartition(tuple(peaks))
 
 
 def membership(partition: FuzzyPartition, region_index: int, x: float) -> float:
     """Degree of x in one region of the partition."""
-    if not 0.0 <= x <= DOMAIN_MAX:
-        raise ValueError(f"x={x} outside [0, 255]")
     return float(partition.evaluate(region_index, x))
 
 
 @dataclass(frozen=True)
-class FuzzyRule:
-    """One learned rule: antecedent region per input, consequent region,
-    and the membership-product degree of the pair that produced it."""
+class RuleCandidates:
+    """One candidate rule per data pair, as parallel arrays: the antecedent
+    region of each input (pairs, inputs), the consequent region (pairs,) and
+    the membership-product degree (pairs,)."""
 
-    antecedent: Tuple[int, ...]
-    consequent: int
-    degree: float
+    antecedents: np.ndarray
+    consequents: np.ndarray
+    degrees: np.ndarray
+
+    def __post_init__(self):
+        antecedents = np.asarray(self.antecedents, dtype=np.int64)
+        consequents = np.asarray(self.consequents, dtype=np.int64)
+        degrees = np.asarray(self.degrees, dtype=np.float64)
+        if antecedents.ndim != 2 or not (
+            antecedents.shape[:1] == consequents.shape == degrees.shape
+        ):
+            raise ValueError("need one antecedent row, consequent and degree per candidate")
+        object.__setattr__(self, "antecedents", antecedents)
+        object.__setattr__(self, "consequents", consequents)
+        object.__setattr__(self, "degrees", degrees)
+
+    def __len__(self) -> int:
+        return self.degrees.size
 
 
 @dataclass(frozen=True)
 class RuleBase:
     """Conflict-resolved rule collection plus the partitions it was built
-    against; immutable, safe for concurrent read-only inference."""
+    against; immutable, safe for concurrent read-only inference.  Every rule
+    names one region per input partition and an output region, with a degree
+    in (0, 1]."""
 
     rules: Dict[Tuple[int, ...], Tuple[int, float]]
     in_partitions: Tuple[FuzzyPartition, ...]
     out_partition: FuzzyPartition
 
+    def __post_init__(self):
+        counts = [p.region_count for p in self.in_partitions]
+        for antecedent, (consequent, degree) in self.rules.items():
+            if len(antecedent) != len(counts) or not all(
+                0 <= region < n for region, n in zip(antecedent, counts)
+            ):
+                raise ValueError(f"rule {antecedent}: antecedent does not fit the input partitions")
+            if not 0 <= consequent < self.out_partition.region_count:
+                raise ValueError(f"rule {antecedent}: consequent {consequent} out of range")
+            if not 0.0 < degree <= 1.0:
+                raise ValueError(f"rule {antecedent}: degree {degree} outside (0, 1]")
+
     def __len__(self) -> int:
         return len(self.rules)
-
-    def sorted_rules(self) -> List[FuzzyRule]:
-        return [
-            FuzzyRule(antecedent=ant, consequent=cons, degree=deg)
-            for ant, (cons, deg) in sorted(self.rules.items())
-        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,9 +224,8 @@ class RuleBase:
             "inputs": [p.to_json_dict() for p in self.in_partitions],
             "output": self.out_partition.to_json_dict(),
             "rules": [
-                {"antecedent": list(r.antecedent), "consequent": r.consequent,
-                 "degree": r.degree}
-                for r in self.sorted_rules()
+                {"antecedent": list(antecedent), "consequent": consequent, "degree": degree}
+                for antecedent, (consequent, degree) in sorted(self.rules.items())
             ],
         }
 
@@ -236,8 +236,8 @@ class RuleBase:
     def from_json_dict(cls, payload: dict) -> "RuleBase":
         if payload.get("schema") != RULEBASE_SCHEMA:
             raise ValueError(f"unsupported rule base schema {payload.get('schema')!r}")
-        in_parts = tuple(_partition_from_peaks(p["peaks"]) for p in payload["inputs"])
-        out_part = _partition_from_peaks(payload["output"]["peaks"])
+        in_parts = tuple(FuzzyPartition(tuple(p["peaks"])) for p in payload["inputs"])
+        out_part = FuzzyPartition(tuple(payload["output"]["peaks"]))
         rules = {
             tuple(r["antecedent"]): (int(r["consequent"]), float(r["degree"]))
             for r in payload["rules"]
@@ -272,72 +272,60 @@ class DefuzzResult:
 
 
 def generate_rules(
-    pairs: Sequence[Tuple[Sequence[float], float]],
+    inputs,
+    outputs,
     in_partitions: Sequence[FuzzyPartition],
     out_partition: FuzzyPartition,
-) -> List[FuzzyRule]:
-    """One candidate rule per data pair.
+) -> RuleCandidates:
+    """One candidate rule per data pair (row of ``inputs``, entry of ``outputs``).
 
     Every coordinate (inputs and output) lands in its maximum-membership
     region, lower index winning ties; the rule degree is the product of
-    those memberships.
+    those memberships, output first.  Values must be finite and lie in
+    [0, 255].
     """
-    if not pairs:
-        return []
-    n_inputs = len(in_partitions)
-    inputs = np.asarray([list(p[0]) for p in pairs], dtype=np.float64)
-    outputs = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    if inputs.shape[1] != n_inputs:
-        raise ValueError("input tuple width does not match partition count")
-    if inputs.min() < 0 or inputs.max() > DOMAIN_MAX or outputs.min() < 0 or outputs.max() > DOMAIN_MAX:
-        raise ValueError("pair values must lie in [0, 255]")
-
-    chosen_regions = []
-    chosen_degrees = []
+    inputs = np.asarray(inputs, dtype=np.float64)
+    outputs = np.asarray(outputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[1] != len(in_partitions):
+        raise ValueError("inputs need one column per input partition")
+    if outputs.shape != inputs.shape[:1]:
+        raise ValueError("need one output per input row")
+    consequents, degrees = out_partition._best_region(outputs)
+    antecedents = []
     for k, part in enumerate(in_partitions):
-        grades = part.memberships(inputs[:, k])
-        idx = np.argmax(grades, axis=0)
-        chosen_regions.append(idx)
-        chosen_degrees.append(grades[idx, np.arange(idx.size)])
-    out_grades = out_partition.memberships(outputs)
-    out_idx = np.argmax(out_grades, axis=0)
-    out_degree = out_grades[out_idx, np.arange(out_idx.size)]
-
-    degree = out_degree.copy()
-    for d in chosen_degrees:
-        degree = degree * d
-
-    rules = []
-    for j in range(len(pairs)):
-        rules.append(
-            FuzzyRule(
-                antecedent=tuple(int(chosen_regions[k][j]) for k in range(n_inputs)),
-                consequent=int(out_idx[j]),
-                degree=float(degree[j]),
-            )
-        )
-    return rules
+        regions, grades = part._best_region(inputs[:, k])
+        antecedents.append(regions)
+        degrees = degrees * grades
+    return RuleCandidates(
+        antecedents=np.stack(antecedents, axis=1),
+        consequents=consequents,
+        degrees=degrees,
+    )
 
 
 def combine(
-    rules: Iterable[FuzzyRule],
+    candidates: RuleCandidates,
     in_partitions: Sequence[FuzzyPartition],
     out_partition: FuzzyPartition,
 ) -> RuleBase:
     """Resolve conflicts: one rule per antecedent, maximum degree winning,
     lower consequent index breaking exact ties.  Order-independent."""
-    resolved: Dict[Tuple[int, ...], Tuple[int, float]] = {}
-    for rule in rules:
-        current = resolved.get(rule.antecedent)
-        candidate = (rule.consequent, rule.degree)
-        if (
-            current is None
-            or candidate[1] > current[1]
-            or (candidate[1] == current[1] and candidate[0] < current[0])
-        ):
-            resolved[rule.antecedent] = candidate
+    key = np.ravel_multi_index(
+        tuple(candidates.antecedents.T), [p.region_count for p in in_partitions]
+    )
+    order = np.lexsort((candidates.consequents, -candidates.degrees, key))
+    _, first = np.unique(key[order], return_index=True)
+    keep = order[first]
+    rules = {
+        tuple(antecedent): (consequent, degree)
+        for antecedent, consequent, degree in zip(
+            candidates.antecedents[keep].tolist(),
+            candidates.consequents[keep].tolist(),
+            candidates.degrees[keep].tolist(),
+        )
+    }
     return RuleBase(
-        rules=resolved,
+        rules=rules,
         in_partitions=tuple(in_partitions),
         out_partition=out_partition,
     )

@@ -8,7 +8,8 @@ converged thresholds covers both input variables; (4) training pairs drawn
 from a 1-in-``training_stride`` staggered pixel lattice map those attributes
 to the mean intensity of the pixel's majority-vote class, so learning needs
 no clean reference; (5) the combined rule base then restores every pixel through
-min/max inference and centroid decoding, rounded half-up and clamped.
+min/max inference and centroid decoding, rounded half-up and clamped.  A
+pixel whose attributes fire no rule is restored to level 0.
 
 The whole path is deterministic: a fixed (image, config) always produces a
 bit-identical result.  Per-pixel inference is evaluated in a batched form
@@ -42,6 +43,7 @@ from .thresholding import (
 __all__ = [
     "PipelineConfig",
     "ExtractionResult",
+    "WINDOW",
     "extract",
     "fuzzify_image",
     "two_level_image",
@@ -49,28 +51,22 @@ __all__ = [
 ]
 
 
+WINDOW = 3  # side of the square neighbourhood behind each pixel's mean attribute
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the freedoms the method leaves open."""
+    """The two freedoms the method leaves open: the minimum number of fuzzy
+    regions per partition and the 1-in-``training_stride`` training lattice."""
 
     min_regions: int = 7
-    cluster_gap: float = 8.0
-    window: int = 3
-    fusion_for_training: str = "majority"
     training_stride: int = 4
-    defuzz_fallback: int = 0
 
     def __post_init__(self):
         if self.min_regions < 3:
             raise ValueError("min_regions must be at least 3")
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValueError("window must be an odd positive integer")
         if self.training_stride < 1:
             raise ValueError("training_stride must be at least 1")
-        if not 0 <= self.defuzz_fallback <= 255:
-            raise ValueError("defuzz_fallback must lie in [0, 255]")
-        if self.fusion_for_training != "majority":
-            raise ValueError("only majority fusion is supported for training")
 
 
 @dataclass(frozen=True)
@@ -157,9 +153,9 @@ def _apply_rulebase_batched(
     base: RuleBase,
     values: np.ndarray,
     means: np.ndarray,
-    fallback: int,
 ) -> Tuple[np.ndarray, int]:
-    """Defuzzified level for every (value, mean) pixel pair.
+    """Defuzzified level for every (value, mean) pixel pair; 0 where no rule
+    fires.
 
     Batched equivalent of infer+defuzzify per pixel: identical firing
     strengths (degree * min of memberships), identical per-spike max
@@ -167,11 +163,9 @@ def _apply_rulebase_batched(
     """
     stacked = np.stack([values, means], axis=1)
     uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    uv, um = uniq[:, 0], uniq[:, 1]
-
     part_v, part_m = base.in_partitions
-    grades_v = {r: part_v.evaluate(r, uv) for r in {a[0] for a in base.rules}}
-    grades_m = {r: part_m.evaluate(r, um) for r in {a[1] for a in base.rules}}
+    grades_v = part_v.memberships(uniq[:, 0])
+    grades_m = part_m.memberships(uniq[:, 1])
 
     heights: dict[int, np.ndarray] = {}
     for antecedent, (consequent, degree) in sorted(base.rules.items()):
@@ -182,8 +176,8 @@ def _apply_rulebase_batched(
         else:
             heights[level] = firing
 
-    numerator = np.zeros(uv.size, dtype=np.float64)
-    mass = np.zeros(uv.size, dtype=np.float64)
+    numerator = np.zeros(len(uniq), dtype=np.float64)
+    mass = np.zeros(len(uniq), dtype=np.float64)
     for level in sorted(heights):
         numerator += level * heights[level]
         mass += heights[level]
@@ -191,7 +185,7 @@ def _apply_rulebase_batched(
     fired = mass > 0.0
     centroid = np.divide(numerator, mass, out=np.zeros_like(numerator), where=fired)
     levels = np.clip(round_half_up(centroid), 0, 255)
-    levels = np.where(fired, levels, fallback)
+    levels = np.where(fired, levels, 0)
     per_pixel = levels[inverse]
     no_rule = int((~fired[inverse]).sum())
     return per_pixel.astype(np.uint8), no_rule
@@ -202,7 +196,7 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
 
     A single-intensity input cannot be thresholded; it comes back unchanged
     with the degenerate flag set.  Pixels whose attribute combination fires
-    no rule take ``cfg.defuzz_fallback`` and are counted in no_rule_pixels.
+    no rule take level 0 and are counted in no_rule_pixels.
     """
     hist = histogram(noisy)
     report = threshold_report(hist)
@@ -219,29 +213,24 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
 
     mask = fuse_decision_level(noisy, report)
     anchors = [float(level) for level in report.converged_levels()]
-    in_partition = build_partition(anchors, cfg.min_regions, cfg.cluster_gap)
+    in_partition = build_partition(anchors, cfg.min_regions)
     in_partitions = (in_partition, in_partition)
 
     values = noisy.pixels.astype(np.float64)
-    means = neighborhood_mean(noisy, cfg.window).reshape(-1)
+    means = neighborhood_mean(noisy, WINDOW).reshape(-1)
     bg_mean, fg_mean = _class_means(noisy, mask)
     targets = np.where(mask.bits, fg_mean, bg_mean)
 
-    out_partition = build_partition(
-        sorted({bg_mean, fg_mean}), cfg.min_regions, cfg.cluster_gap
-    )
+    out_partition = build_partition(sorted({bg_mean, fg_mean}), cfg.min_regions)
 
     idx = _training_indices(noisy.height, noisy.width, cfg.training_stride)
-    pairs = [
-        ((values[i], means[i]), targets[i])
-        for i in idx
-    ]
-    rules = generate_rules(pairs, in_partitions, out_partition)
-    base = combine(rules, in_partitions, out_partition)
-
-    restored, no_rule = _apply_rulebase_batched(
-        base, values, means, cfg.defuzz_fallback
+    candidates = generate_rules(
+        np.stack([values[idx], means[idx]], axis=1), targets[idx],
+        in_partitions, out_partition,
     )
+    base = combine(candidates, in_partitions, out_partition)
+
+    restored, no_rule = _apply_rulebase_batched(base, values, means)
     extracted = GrayImage(noisy.width, noisy.height, restored)
     return ExtractionResult(
         extracted=extracted,

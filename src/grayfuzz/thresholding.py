@@ -449,6 +449,25 @@ def _threshold_yen(stats: _Stats) -> int:
     return _lowest_argmax(crit, t)
 
 
+# Every method but Percentile, which also takes its target fraction.
+_METHODS = {
+    ThresholdMethod.DEFAULT: _threshold_default,
+    ThresholdMethod.HUANG: _threshold_huang,
+    ThresholdMethod.ISODATA: _threshold_isodata,
+    ThresholdMethod.LI: _threshold_li,
+    ThresholdMethod.MAX_ENTROPY: _threshold_max_entropy,
+    ThresholdMethod.MEAN: _threshold_mean,
+    ThresholdMethod.MIN_ERROR: _threshold_min_error,
+    ThresholdMethod.MINIMUM: _threshold_minimum,
+    ThresholdMethod.MOMENTS: _threshold_moments,
+    ThresholdMethod.OTSU: _threshold_otsu,
+    ThresholdMethod.RENYI_ENTROPY: _threshold_renyi,
+    ThresholdMethod.SHANBHAG: _threshold_shanbhag,
+    ThresholdMethod.TRIANGLE: _threshold_triangle,
+    ThresholdMethod.YEN: _threshold_yen,
+}
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -468,37 +487,9 @@ def compute_threshold(
     stats = _Stats(np.asarray(hist.counts))
     if method not in _TOTAL_METHODS:
         _require_spread(stats, method)
-    if method is ThresholdMethod.MEAN:
-        return _threshold_mean(stats)
     if method is ThresholdMethod.PERCENTILE:
         return _threshold_percentile(stats, percentile_fraction)
-    if method is ThresholdMethod.DEFAULT:
-        return _threshold_default(stats)
-    if method is ThresholdMethod.ISODATA:
-        return _threshold_isodata(stats)
-    if method is ThresholdMethod.OTSU:
-        return _threshold_otsu(stats)
-    if method is ThresholdMethod.LI:
-        return _threshold_li(stats)
-    if method is ThresholdMethod.MAX_ENTROPY:
-        return _threshold_max_entropy(stats)
-    if method is ThresholdMethod.MIN_ERROR:
-        return _threshold_min_error(stats)
-    if method is ThresholdMethod.MINIMUM:
-        return _threshold_minimum(stats)
-    if method is ThresholdMethod.HUANG:
-        return _threshold_huang(stats)
-    if method is ThresholdMethod.MOMENTS:
-        return _threshold_moments(stats)
-    if method is ThresholdMethod.RENYI_ENTROPY:
-        return _threshold_renyi(stats)
-    if method is ThresholdMethod.SHANBHAG:
-        return _threshold_shanbhag(stats)
-    if method is ThresholdMethod.TRIANGLE:
-        return _threshold_triangle(stats)
-    if method is ThresholdMethod.YEN:
-        return _threshold_yen(stats)
-    raise ValueError(f"unhandled method {method}")  # pragma: no cover
+    return _METHODS[method](stats)
 
 
 def threshold_report(hist: Histogram, percentile_fraction: float = 0.5) -> ThresholdReport:

@@ -30,11 +30,16 @@ def two_level_image_40_210() -> GrayImage:
 
 
 @pytest.fixture(scope="session")
-def bench_images(tmp_path_factory, phantom_image, photo_image):
+def phantom_path(tmp_path_factory, phantom_image) -> str:
+    """phantom.pgm path for benchmark runs; needs numpy only."""
+    path = tmp_path_factory.mktemp("bench") / "phantom.pgm"
+    path.write_bytes(save_pgm(phantom_image))
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def bench_images(tmp_path_factory, phantom_path, photo_image):
     """(phantom.pgm, photo.pgm) paths for benchmark runs."""
-    directory = tmp_path_factory.mktemp("bench")
-    phantom_path = directory / "phantom.pgm"
-    phantom_path.write_bytes(save_pgm(phantom_image))
-    photo_path = directory / "photo.pgm"
+    photo_path = tmp_path_factory.mktemp("bench") / "photo.pgm"
     photo_path.write_bytes(save_pgm(photo_image))
-    return str(phantom_path), str(photo_path)
+    return phantom_path, str(photo_path)

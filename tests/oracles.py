@@ -23,10 +23,13 @@ def _occupied(counts):
     return nz[0], nz[-1]
 
 
-def _class_sums(counts, t):
-    # fresh slice sums per candidate (exact in int64), no cumulative tables
+def _int_arrays(counts):
     arr = np.asarray(counts, dtype=np.int64)
-    weighted = np.arange(LEVELS, dtype=np.int64) * arr
+    return arr, np.arange(LEVELS, dtype=np.int64) * arr
+
+
+def _class_sums(arr, weighted, t):
+    # fresh slice sums per candidate (exact in int64), no cumulative tables
     w0 = int(arr[: t + 1].sum())
     w1 = int(arr[t + 1 :].sum())
     s0 = int(weighted[: t + 1].sum())
@@ -40,9 +43,10 @@ def oracle_otsu(counts):
     first, last = _occupied(counts)
     if first == last:
         return None
+    arr, weighted = _int_arrays(counts)
     best_t, best = None, -math.inf
     for t in range(first, last):
-        w0, w1, s0, s1 = _class_sums(counts, t)
+        w0, w1, s0, s1 = _class_sums(arr, weighted, t)
         mu0 = s0 / w0
         mu1 = s1 / w1
         crit = (w0 / n) * (w1 / n) * (mu0 - mu1) ** 2
@@ -56,9 +60,10 @@ def oracle_li(counts):
     first, last = _occupied(counts)
     if first == last:
         return None
+    arr, weighted = _int_arrays(counts)
     best_t, best = None, math.inf
     for t in range(first, last):
-        w0, w1, s0, s1 = _class_sums(counts, t)
+        w0, w1, s0, s1 = _class_sums(arr, weighted, t)
         term0 = s0 * math.log(s0 / w0) if s0 > 0 else 0.0
         term1 = s1 * math.log(s1 / w1) if s1 > 0 else 0.0
         crit = -(term0 + term1)
@@ -76,8 +81,8 @@ def oracle_max_entropy(counts):
     p = np.asarray(counts, dtype=np.float64) / total
     best_t, best = None, -math.inf
     for t in range(first, last):
-        p0 = float(np.sum(p[: t + 1]))
-        p1 = float(np.sum(p[t + 1 :]))
+        p0 = float(p[: t + 1].sum())
+        p1 = float(p[t + 1 :].sum())
         q0 = p[: t + 1][p[: t + 1] > 0] / p0
         q1 = p[t + 1 :][p[t + 1 :] > 0] / p1
         crit = float(-(q0 * np.log(q0)).sum() - (q1 * np.log(q1)).sum())
@@ -93,9 +98,10 @@ def oracle_min_error(counts):
     if first == last:
         return None
     sq_weighted = np.arange(LEVELS, dtype=np.int64) ** 2 * np.asarray(counts, dtype=np.int64)
+    arr, weighted = _int_arrays(counts)
     best_t, best = None, math.inf
     for t in range(first, last):
-        w0, w1, s0, s1 = _class_sums(counts, t)
+        w0, w1, s0, s1 = _class_sums(arr, weighted, t)
         q0 = int(sq_weighted[: t + 1].sum())
         q1 = int(sq_weighted[t + 1 :].sum())
         mu0, mu1 = s0 / w0, s1 / w1
@@ -124,10 +130,10 @@ def oracle_renyi(counts, alpha=0.5):
     best_t, best = None, -math.inf
     scale = 1.0 / (1.0 - alpha)
     for t in range(first, last):
-        p0 = float(np.sum(p[: t + 1]))
-        p1 = float(np.sum(p[t + 1 :]))
-        h0 = scale * math.log(float(np.sum((p[: t + 1] / p0) ** alpha)))
-        h1 = scale * math.log(float(np.sum((p[t + 1 :] / p1) ** alpha)))
+        p0 = float(p[: t + 1].sum())
+        p1 = float(p[t + 1 :].sum())
+        h0 = scale * math.log(float(((p[: t + 1] / p0) ** alpha).sum()))
+        h1 = scale * math.log(float(((p[t + 1 :] / p1) ** alpha).sum()))
         crit = h0 + h1
         if crit > best:
             best, best_t = crit, t
@@ -143,10 +149,10 @@ def oracle_yen(counts):
     p = np.asarray(counts, dtype=np.float64) / total
     best_t, best = None, -math.inf
     for t in range(first, last):
-        p0 = float(np.sum(p[: t + 1]))
-        p1 = float(np.sum(p[t + 1 :]))
-        s0 = float(np.sum(p[: t + 1] ** 2))
-        s1 = float(np.sum(p[t + 1 :] ** 2))
+        p0 = float(p[: t + 1].sum())
+        p1 = float(p[t + 1 :].sum())
+        s0 = float((p[: t + 1] ** 2).sum())
+        s1 = float((p[t + 1 :] ** 2).sum())
         crit = 2.0 * math.log(p0 * p1) - math.log(s0 * s1)
         if crit > best:
             best, best_t = crit, t
@@ -170,12 +176,12 @@ def oracle_shanbhag(counts):
         lo = np.arange(0, t + 1)
         lo = lo[p[lo] > 0]
         ent_back = -(0.5 / p1t) * float(
-            np.sum(p[lo] * np.log(1.0 - 0.5 * prev[lo] / p1t))
+            (p[lo] * np.log(1.0 - 0.5 * prev[lo] / p1t)).sum()
         )
         hi = np.arange(t + 1, LEVELS)
         hi = hi[p[hi] > 0]
         ent_obj = -(0.5 / p2t) * float(
-            np.sum(p[hi] * np.log(1.0 - 0.5 * upper[hi] / p2t))
+            (p[hi] * np.log(1.0 - 0.5 * upper[hi] / p2t)).sum()
         )
         crit = abs(ent_back - ent_obj)
         if crit < best:
@@ -191,9 +197,10 @@ def oracle_huang(counts):
     width = last - first
     bins = np.arange(LEVELS, dtype=np.float64)
     carr = np.asarray(counts, dtype=np.float64)
+    arr, weighted = _int_arrays(counts)
     best_t, best = None, math.inf
     for t in range(first, last):
-        w0, w1, s0, s1 = _class_sums(counts, t)
+        w0, w1, s0, s1 = _class_sums(arr, weighted, t)
         mu0, mu1 = s0 / w0, s1 / w1
         dist = np.where(bins <= t, np.abs(bins - mu0), np.abs(bins - mu1))
         mu_x = 1.0 / (1.0 + dist / width)
@@ -262,7 +269,7 @@ def oracle_triangle(counts):
 
 
 def smooth3(values):
-    padded = np.pad(np.asarray(values, dtype=np.float64), 1)
+    padded = np.concatenate(([0.0], np.asarray(values, dtype=np.float64), [0.0]))
     return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
 
 
@@ -270,10 +277,13 @@ def oracle_minimum(counts, cap=10_000):
     h = np.asarray([int(c) for c in counts], dtype=np.float64)
 
     def modes(values):
+        values = values.tolist()
         return [
             k
-            for k in range(1, LEVELS - 1)
-            if values[k] > values[k - 1] and values[k] > values[k + 1]
+            for k, (left, mid, right) in enumerate(
+                zip(values, values[1:], values[2:]), start=1
+            )
+            if mid > left and mid > right
         ]
 
     iterations = 0
@@ -323,8 +333,9 @@ def oracle_isodata(counts, t0=None, cap=10_000):
     if t0 is None:
         t0 = sum(i * counts[i] for i in range(LEVELS)) // total
     t = min(max(int(t0), first), last - 1)
+    arr, weighted = _int_arrays(counts)
     for _ in range(cap):
-        w0, w1, s0, s1 = _class_sums(counts, t)
+        w0, w1, s0, s1 = _class_sums(arr, weighted, t)
         t_new = int(math.floor((s0 / w0 + s1 / w1) / 2.0 + 0.5))
         t_new = min(max(t_new, first), last - 1)
         if t_new == t:
@@ -337,21 +348,45 @@ def oracle_isodata(counts, t0=None, cap=10_000):
 # Rule-learning brute force
 # ---------------------------------------------------------------------------
 
+def triangle(peaks, region, x):
+    """Membership of x in one region of the Ruspini partition with these
+    peaks: zero up to the previous peak, rising linearly to one at the
+    region's own peak, falling linearly to zero at the next peak.  The first
+    and last regions are shoulders, flat at one toward the domain edge."""
+    center = peaks[region]
+    if x == center:
+        return 1.0
+    if x < center:
+        if region == 0:
+            return 1.0
+        left = peaks[region - 1]
+        return (x - left) / (center - left) if x >= left else 0.0
+    if region == len(peaks) - 1:
+        return 1.0
+    right = peaks[region + 1]
+    return (right - x) / (right - center) if x <= right else 0.0
+
+
 def wang_mendel_bruteforce(pairs, in_partitions, out_partition):
     """Score every (antecedent, consequent) combination for every pair and
     keep argmax per pair (lexicographically lowest combination on ties),
     then argmax degree per antecedent (lowest consequent on ties).
+
+    Memberships come from ``triangle`` on each partition's peaks, not from
+    the partition's own evaluation code.
     """
     per_pair = []
-    in_ranges = [range(p.region_count) for p in in_partitions]
+    in_peaks = [list(p.peaks) for p in in_partitions]
+    out_peaks = list(out_partition.peaks)
+    in_ranges = [range(len(peaks)) for peaks in in_peaks]
     for xs, y in pairs:
         best_combo, best_score = None, -1.0
-        for cons in range(out_partition.region_count):
-            mu_out = float(out_partition.evaluate(cons, y))
+        for cons in range(len(out_peaks)):
+            mu_out = triangle(out_peaks, cons, y)
             for ant in product(*in_ranges):
                 score = mu_out
                 for k, region in enumerate(ant):
-                    score = score * float(in_partitions[k].evaluate(region, xs[k]))
+                    score = score * triangle(in_peaks[k], region, xs[k])
                 key = (ant, cons)
                 if score > best_score or (
                     score == best_score and key < best_combo

@@ -100,7 +100,9 @@ def test_criterion_2_wang_mendel_oracle():
             )
             for _ in range(n)
         ]
-        base = combine(generate_rules(pairs, in_parts, out_part), in_parts, out_part)
+        inputs = [xs for xs, _ in pairs]
+        outputs = [y for _, y in pairs]
+        base = combine(generate_rules(inputs, outputs, in_parts, out_part), in_parts, out_part)
         expected = oracles.wang_mendel_bruteforce(pairs, in_parts, out_part)
         matches += base.rules == expected
     _verdict(2, matches == 50, f"rule-learning brute-force match on {matches}/50 datasets")
@@ -210,8 +212,8 @@ def test_criterion_7_directional_benchmark(bench_images):
     )
 
 
-def test_criterion_8_benchmark_determinism(bench_images):
-    spec = BenchmarkSpec(images=(bench_images[0],), sigmas=(15.0, 60.0), seeds=(1, 2))
+def test_criterion_8_benchmark_determinism(phantom_path):
+    spec = BenchmarkSpec(images=(phantom_path,), sigmas=(15.0, 60.0), seeds=(1, 2))
     first = run_benchmark(spec, PipelineConfig())
     second = run_benchmark(spec, PipelineConfig())
     ok = first.csv_text.encode() == second.csv_text.encode()

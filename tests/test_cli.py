@@ -138,6 +138,21 @@ class TestBenchmark:
         assert lines[0] == "method,45"  # command line overrides config sigmas
         assert [l.split(",")[0] for l in lines[1:]] == ["Otsu", PROPOSED_ROW]
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"images": "abc.pgm"},
+            {"sigmas": ["15"]},
+            {"regions": "7"},
+            {"stride": True},
+        ],
+    )
+    def test_config_value_type_usage_error(self, config, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["benchmark", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_unknown_config_key_usage_error(self, small_pgm, tmp_path):
         cfg_path = tmp_path / "bench.json"
         cfg_path.write_text(json.dumps({"images": [str(small_pgm)], "bogus": 1}))

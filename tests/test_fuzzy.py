@@ -4,8 +4,9 @@ import pytest
 from grayfuzz.fuzzy import (
     DefuzzResult,
     FuzzyOutput,
-    FuzzyRule,
+    FuzzyPartition,
     RuleBase,
+    RuleCandidates,
     build_partition,
     combine,
     defuzzify,
@@ -22,22 +23,35 @@ def random_partition(rng, max_anchors=3, min_regions=2):
     return build_partition(anchors, min_regions=min_regions)
 
 
+def candidates(*rows):
+    """RuleCandidates from (antecedent, consequent, degree) rows."""
+    antecedents, consequents, degrees = zip(*rows)
+    return RuleCandidates(antecedents=antecedents, consequents=consequents, degrees=degrees)
+
+
+def learn(pairs, in_parts, out_part):
+    """Rule base learned from ((inputs...), output) pairs."""
+    inputs = [xs for xs, _ in pairs]
+    outputs = [y for _, y in pairs]
+    return combine(generate_rules(inputs, outputs, in_parts, out_part), in_parts, out_part)
+
+
 class TestBuildPartition:
     def test_single_anchor(self):
         part = build_partition([128], min_regions=3)
         assert part.region_count == 3
-        assert part.peaks == [0.0, 128.0, 255.0]
+        assert part.peaks == (0.0, 128.0, 255.0)
         assert membership(part, 1, 128.0) == 1.0
 
     def test_clustering_example(self):
         part = build_partition([100, 101, 200], min_regions=2)
-        assert part.peaks == [0.0, 100.5, 200.0, 255.0]
+        assert part.peaks == (0.0, 100.5, 200.0, 255.0)
         assert part.region_count == 4
 
     def test_min_regions_subdivision(self):
         part = build_partition([128], min_regions=4)
         # widest gap [0, 128] splits at its midpoint
-        assert part.peaks == [0.0, 64.0, 128.0, 255.0]
+        assert part.peaks == (0.0, 64.0, 128.0, 255.0)
 
     def test_empty_anchors_rejected(self):
         with pytest.raises(ValueError):
@@ -45,7 +59,7 @@ class TestBuildPartition:
 
     def test_edge_anchor_collapses_into_shoulder(self):
         part = build_partition([0.0, 128.0], min_regions=2)
-        assert part.peaks == [0.0, 128.0, 255.0]
+        assert part.peaks == (0.0, 128.0, 255.0)
 
     def test_ruspini_property_random(self):
         rng = np.random.default_rng(42)
@@ -54,6 +68,31 @@ class TestBuildPartition:
             part = random_partition(rng, max_anchors=8, min_regions=int(rng.integers(2, 9)))
             total = part.memberships(levels).sum(axis=0)
             assert np.abs(total - 1.0).max() < 1e-9
+
+
+class TestFuzzyPartition:
+    @pytest.mark.parametrize(
+        "peaks",
+        [
+            (0.0,),  # fewer than two regions
+            (0.0, float("nan"), 255.0),  # non-finite
+            (0.0, 100.0, 100.0, 255.0),  # not strictly increasing
+            (50.0, 100.0, 255.0),  # first peak is not 0
+            (0.0, 100.0),  # last peak is not 255
+        ],
+    )
+    def test_invalid_peaks_rejected(self, peaks):
+        with pytest.raises(ValueError):
+            FuzzyPartition(peaks)
+
+    def test_rule_base_json_without_domain_peaks_rejected(self):
+        # peaks [50, 100] would otherwise grade x=10 at 1.0 through a shoulder
+        text = (
+            '{"schema": "grayfuzz.rulebase/1", "inputs": [{"peaks": [50, 100]}],'
+            ' "output": {"peaks": [0, 255]}, "rules": []}'
+        )
+        with pytest.raises(ValueError):
+            RuleBase.from_json_text(text)
 
 
 class TestMembership:
@@ -85,25 +124,38 @@ class TestGenerateRules:
         self.part = build_partition([100, 200], min_regions=2)
 
     def test_degree_one_at_peaks(self):
-        rules = generate_rules([((100.0, 200.0), 100.0)], (self.part, self.part), self.part)
+        rules = generate_rules([[100.0, 200.0]], [100.0], (self.part, self.part), self.part)
         assert len(rules) == 1
-        rule = rules[0]
-        assert rule.antecedent == (1, 2)
-        assert rule.consequent == 1
-        assert rule.degree == 1.0
+        assert rules.antecedents[0].tolist() == [1, 2]
+        assert rules.consequents[0] == 1
+        assert rules.degrees[0] == 1.0
 
     def test_midway_degree_half(self):
-        rules = generate_rules([((150.0,), 100.0)], (self.part,), self.part)
-        assert rules[0].degree == pytest.approx(0.5)
+        rules = generate_rules([[150.0]], [100.0], (self.part,), self.part)
+        assert rules.degrees[0] == pytest.approx(0.5)
+
+    def test_tie_goes_to_lower_region(self):
+        # 150 and 227.5 sit midway between peaks 100/200 and 200/255
+        rules = generate_rules([[150.0, 227.5]], [150.0], (self.part, self.part), self.part)
+        assert rules.antecedents[0].tolist() == [1, 2]
+        assert rules.consequents[0] == 1
+        assert rules.degrees[0] == 0.125
 
     def test_one_rule_per_pair(self):
         rng = np.random.default_rng(3)
         pairs = [((float(rng.uniform(0, 255)),), float(rng.uniform(0, 255))) for _ in range(37)]
-        assert len(generate_rules(pairs, (self.part,), self.part)) == 37
+        inputs = [xs for xs, _ in pairs]
+        outputs = [y for _, y in pairs]
+        assert len(generate_rules(inputs, outputs, (self.part,), self.part)) == 37
 
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(ValueError):
-            generate_rules([((300.0,), 10.0)], (self.part,), self.part)
+            generate_rules([[300.0]], [10.0], (self.part,), self.part)
+
+    @pytest.mark.parametrize("x, y", [(float("nan"), 100.0), (100.0, float("inf"))])
+    def test_non_finite_pair_rejected(self, x, y):
+        with pytest.raises(ValueError):
+            generate_rules([[x]], [y], (self.part,), self.part)
 
 
 class TestCombine:
@@ -111,42 +163,33 @@ class TestCombine:
         self.part = build_partition([100, 200], min_regions=2)
 
     def test_max_degree_wins(self):
-        rules = [
-            FuzzyRule(antecedent=(1,), consequent=2, degree=0.4),
-            FuzzyRule(antecedent=(1,), consequent=1, degree=0.9),
-        ]
+        rules = candidates(((1,), 2, 0.4), ((1,), 1, 0.9))
         base = combine(rules, (self.part,), self.part)
         assert base.rules[(1,)] == (1, 0.9)
 
     def test_disjoint_antecedents_survive(self):
-        rules = [
-            FuzzyRule(antecedent=(0,), consequent=1, degree=0.5),
-            FuzzyRule(antecedent=(1,), consequent=2, degree=0.5),
-        ]
+        rules = candidates(((0,), 1, 0.5), ((1,), 2, 0.5))
         base = combine(rules, (self.part,), self.part)
         assert len(base) == 2
 
     def test_order_independent(self):
         rng = np.random.default_rng(5)
         rules = [
-            FuzzyRule(
-                antecedent=(int(rng.integers(0, 3)),),
-                consequent=int(rng.integers(0, 3)),
-                degree=float(rng.choice([0.25, 0.5, 0.75])),
+            (
+                (int(rng.integers(0, 3)),),
+                int(rng.integers(0, 3)),
+                float(rng.choice([0.25, 0.5, 0.75])),
             )
             for _ in range(60)
         ]
-        base_a = combine(rules, (self.part,), self.part)
+        base_a = combine(candidates(*rules), (self.part,), self.part)
         shuffled = list(rules)
         rng.shuffle(shuffled)
-        base_b = combine(shuffled, (self.part,), self.part)
+        base_b = combine(candidates(*shuffled), (self.part,), self.part)
         assert base_a.rules == base_b.rules
 
     def test_tie_goes_to_lower_consequent(self):
-        rules = [
-            FuzzyRule(antecedent=(1,), consequent=2, degree=0.5),
-            FuzzyRule(antecedent=(1,), consequent=1, degree=0.5),
-        ]
+        rules = candidates(((1,), 2, 0.5), ((1,), 1, 0.5))
         base = combine(rules, (self.part,), self.part)
         assert base.rules[(1,)] == (1, 0.5)
 
@@ -156,29 +199,20 @@ class TestInfer:
         self.part = build_partition([100, 200], min_regions=2)
 
     def test_singleton_base_at_peaks(self):
-        base = combine(
-            [FuzzyRule(antecedent=(1,), consequent=2, degree=1.0)], (self.part,), self.part
-        )
+        base = combine(candidates(((1,), 2, 1.0)), (self.part,), self.part)
         out = infer(base, (100.0,))
         expected = np.zeros(256)
         expected[200] = 1.0  # the consequent envelope: unit spike at the prototype
         assert np.array_equal(out.samples, expected)
 
     def test_zero_membership_everywhere(self):
-        base = combine(
-            [FuzzyRule(antecedent=(3,), consequent=1, degree=1.0)], (self.part,), self.part
-        )
+        base = combine(candidates(((3,), 1, 1.0)), (self.part,), self.part)
         out = infer(base, (100.0,))  # region 3 peaks at 255; membership at 100 is 0
         assert not out.samples.any()
 
     def test_two_rules_pointwise_max(self):
         base = combine(
-            [
-                FuzzyRule(antecedent=(1,), consequent=1, degree=1.0),
-                FuzzyRule(antecedent=(2,), consequent=2, degree=1.0),
-            ],
-            (self.part,),
-            self.part,
+            candidates(((1,), 1, 1.0), ((2,), 2, 1.0)), (self.part,), self.part
         )
         out = infer(base, (150.0,))  # fires both at strength 0.5
         assert out.samples[100] == pytest.approx(0.5)
@@ -187,12 +221,8 @@ class TestInfer:
 
     def test_monotone_in_degree(self):
         for low, high in [(0.3, 0.6), (0.5, 0.9)]:
-            base_low = combine(
-                [FuzzyRule(antecedent=(1,), consequent=1, degree=low)], (self.part,), self.part
-            )
-            base_high = combine(
-                [FuzzyRule(antecedent=(1,), consequent=1, degree=high)], (self.part,), self.part
-            )
+            base_low = combine(candidates(((1,), 1, low)), (self.part,), self.part)
+            base_high = combine(candidates(((1,), 1, high)), (self.part,), self.part)
             for x in (80.0, 100.0, 130.0):
                 assert np.all(
                     infer(base_high, (x,)).samples >= infer(base_low, (x,)).samples
@@ -240,7 +270,7 @@ class TestWangMendelOracle:
                 )
                 for _ in range(n)
             ]
-            base = combine(generate_rules(pairs, in_parts, out_part), in_parts, out_part)
+            base = learn(pairs, in_parts, out_part)
             expected = oracles.wang_mendel_bruteforce(pairs, in_parts, out_part)
             assert base.rules == expected
 
@@ -257,7 +287,7 @@ class TestRuleBaseJson:
             )
             for _ in range(40)
         ]
-        base = combine(generate_rules(pairs, in_parts, out_part), in_parts, out_part)
+        base = learn(pairs, in_parts, out_part)
         clone = RuleBase.from_json_text(base.to_json_text())
         assert clone.rules == base.rules
         assert [p.peaks for p in clone.in_partitions] == [p.peaks for p in base.in_partitions]
@@ -266,6 +296,25 @@ class TestRuleBaseJson:
     def test_schema_checked(self):
         with pytest.raises(ValueError):
             RuleBase.from_json_text('{"schema": "other/9", "inputs": [], "output": {"peaks": []}, "rules": []}')
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            '{"antecedent": [1], "consequent": 0, "degree": 0.5}',  # arity 1, two inputs
+            '{"antecedent": [5, 0], "consequent": 0, "degree": 0.5}',  # region out of range
+            '{"antecedent": [1, 0], "consequent": 9, "degree": 0.5}',  # consequent out of range
+            '{"antecedent": [1, 0], "consequent": 0, "degree": 0.0}',  # degree not positive
+            '{"antecedent": [1, 0], "consequent": 0, "degree": 1.5}',  # degree above one
+        ],
+    )
+    def test_invalid_rule_rejected(self, rule):
+        two_regions = '{"peaks": [0, 255]}'
+        text = (
+            f'{{"schema": "grayfuzz.rulebase/1", "inputs": [{two_regions}, {two_regions}],'
+            f' "output": {two_regions}, "rules": [{rule}]}}'
+        )
+        with pytest.raises(ValueError):
+            RuleBase.from_json_text(text)
 
 
 class TestDefuzzRange:
@@ -280,7 +329,7 @@ class TestDefuzzRange:
                 )
                 for _ in range(30)
             ]
-            base = combine(generate_rules(pairs, (part,), part), (part,), part)
+            base = learn(pairs, (part,), part)
             spikes = [base.out_partition.spike_level(c) for c, _ in base.rules.values()]
             for x in rng.uniform(0, 255, size=5):
                 result = defuzzify(infer(base, (float(x),)))

@@ -13,6 +13,7 @@ from grayfuzz.image_core import (
 )
 from grayfuzz.metrics import compare
 from grayfuzz.pipeline import (
+    WINDOW,
     PipelineConfig,
     extract,
     fuzzify_image,
@@ -25,17 +26,15 @@ from grayfuzz.thresholding import binarize
 class TestConfig:
     def test_defaults_valid(self):
         cfg = PipelineConfig()
-        assert cfg.window % 2 == 1 and cfg.training_stride >= 1
+        assert cfg.min_regions >= 3 and cfg.training_stride >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"min_regions": 2},
-            {"window": 2},
-            {"window": 0},
+            {"min_regions": 0},
+            {"training_stride": -1},
             {"training_stride": 0},
-            {"defuzz_fallback": 300},
-            {"fusion_for_training": "average"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -100,11 +99,11 @@ class TestExtract:
         noisy = add_gaussian_noise(bimodal_phantom(24, 24), NoiseSpec(sigma=40.0, seed=11))
         result = extract(noisy, cfg)
         base = result.rulebase
-        means = neighborhood_mean(noisy, cfg.window).reshape(-1)
+        means = neighborhood_mean(noisy, WINDOW).reshape(-1)
         for i in range(noisy.pixels.size):
             out = infer(base, (float(noisy.pixels[i]), float(means[i])))
             decoded = defuzzify(out)
-            expected = cfg.defuzz_fallback if decoded.no_rule_fired else decoded.level
+            expected = 0 if decoded.no_rule_fired else decoded.level
             assert result.extracted.pixels[i] == expected
 
     def test_two_class_fidelity_random_splits(self):
