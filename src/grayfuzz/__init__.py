@@ -15,6 +15,7 @@ from .image_core import (
     MalformedHeaderError,
     UnsupportedMaxvalError,
     TruncatedRasterError,
+    RasterAboveMaxvalError,
     add_gaussian_noise,
     bimodal_phantom,
     histogram,
@@ -40,21 +41,17 @@ from .thresholding import (
     threshold_report,
 )
 from .fuzzy import (
-    DefuzzResult,
-    FuzzyOutput,
     FuzzyPartition,
     RuleBase,
     RuleCandidates,
     build_partition,
     combine,
-    defuzzify,
     generate_rules,
-    infer,
-    membership,
 )
 from .pipeline import (
     ExtractionResult,
     PipelineConfig,
+    apply_rulebase,
     extract,
     fuzzify_image,
     neighborhood_mean,

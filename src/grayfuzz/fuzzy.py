@@ -1,5 +1,5 @@
-"""Triangular membership partitions, rule learning from numeric pairs, and
-min/max inference with centroid decoding over the [0, 255] intensity domain.
+"""Triangular membership partitions and rule learning from numeric pairs
+over the [0, 255] intensity domain.
 
 A partition is stored as its vector of region peaks, strictly increasing
 from 0 to 255.  Region i rises linearly from peak i-1 to 1 at peak i and
@@ -13,12 +13,12 @@ where its memberships peak, carries a degree equal to the product of those
 memberships, and conflicting votes per antecedent are resolved by keeping
 the strongest.
 
-Inference fires each stored rule at ``degree * min(antecedent memberships)``
-and aggregates by pointwise max over a 256-sample output curve.  A rule's
-consequent envelope is the discretized prototype of its output region: a
-unit spike at the region's peak level.  Decoding the aggregated spikes with
-the centroid therefore interpolates between learned prototypes, and an input
-sitting exactly on a prototype reproduces it exactly.
+A rule base is applied to an image by ``pipeline.apply_rulebase``: each
+rule fires at ``degree * min(antecedent memberships)``, and its consequent
+is the discretized prototype of its output region, a unit spike at the
+region's peak level (``FuzzyPartition.spike_level``).  Spikes aggregate by
+max and decode by their centroid, which therefore interpolates between
+learned prototypes; an input sitting exactly on a prototype reproduces it.
 """
 
 from __future__ import annotations
@@ -36,14 +36,9 @@ __all__ = [
     "FuzzyPartition",
     "RuleCandidates",
     "RuleBase",
-    "FuzzyOutput",
-    "DefuzzResult",
     "build_partition",
-    "membership",
     "generate_rules",
     "combine",
-    "infer",
-    "defuzzify",
     "DEFAULT_CLUSTER_GAP",
     "RULEBASE_SCHEMA",
 ]
@@ -161,11 +156,6 @@ def build_partition(
     return FuzzyPartition(tuple(peaks))
 
 
-def membership(partition: FuzzyPartition, region_index: int, x: float) -> float:
-    """Degree of x in one region of the partition."""
-    return float(partition.evaluate(region_index, x))
-
-
 @dataclass(frozen=True)
 class RuleCandidates:
     """One candidate rule per data pair, as parallel arrays: the antecedent
@@ -190,6 +180,14 @@ class RuleCandidates:
 
     def __len__(self) -> int:
         return self.degrees.size
+
+
+def _partition_from_json(payload) -> FuzzyPartition:
+    # exact types: JSON true/false load as bool, a subclass of int
+    peaks = payload.get("peaks") if isinstance(payload, dict) else None
+    if type(peaks) is not list or not all(type(p) in (int, float) for p in peaks):
+        raise ValueError(f"partition {payload!r}: peaks must be a list of numbers")
+    return FuzzyPartition(tuple(peaks))
 
 
 @dataclass(frozen=True)
@@ -236,39 +234,23 @@ class RuleBase:
     def from_json_dict(cls, payload: dict) -> "RuleBase":
         if payload.get("schema") != RULEBASE_SCHEMA:
             raise ValueError(f"unsupported rule base schema {payload.get('schema')!r}")
-        in_parts = tuple(FuzzyPartition(tuple(p["peaks"])) for p in payload["inputs"])
-        out_part = FuzzyPartition(tuple(payload["output"]["peaks"]))
-        rules = {
-            tuple(r["antecedent"]): (int(r["consequent"]), float(r["degree"]))
-            for r in payload["rules"]
-        }
+        in_parts = tuple(_partition_from_json(p) for p in payload["inputs"])
+        out_part = _partition_from_json(payload["output"])
+        rules = {}
+        for r in payload["rules"]:
+            antecedent, consequent, degree = r["antecedent"], r["consequent"], r["degree"]
+            if type(antecedent) is not list or any(
+                type(region) is not int for region in [*antecedent, consequent]
+            ):
+                raise ValueError(f"rule {r!r}: regions must be integers")
+            if type(degree) not in (int, float):
+                raise ValueError(f"rule {r!r}: degree must be a number")
+            rules[tuple(antecedent)] = (consequent, float(degree))
         return cls(rules=rules, in_partitions=in_parts, out_partition=out_part)
 
     @classmethod
     def from_json_text(cls, text: str) -> "RuleBase":
         return cls.from_json_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class FuzzyOutput:
-    """Aggregated output curve sampled at the 256 intensity levels."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
-        if samples.shape != (256,):
-            raise ValueError("output curve needs exactly 256 samples")
-        if samples.min() < 0.0 or samples.max() > 1.0:
-            raise ValueError("samples must lie in [0, 1]")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-
-@dataclass(frozen=True)
-class DefuzzResult:
-    level: int
-    no_rule_fired: bool
 
 
 def generate_rules(
@@ -329,41 +311,3 @@ def combine(
         in_partitions=tuple(in_partitions),
         out_partition=out_partition,
     )
-
-
-def infer(base: RuleBase, inputs: Sequence[float]) -> FuzzyOutput:
-    """Max-min composition over the stored rules at one input point.
-
-    firing = degree * min(antecedent memberships); each rule contributes its
-    consequent envelope (unit spike at the region prototype) clipped at the
-    firing strength; curves aggregate by pointwise max.
-    """
-    if len(base.rules) == 0:
-        raise ValueError("empty rule base")
-    if len(inputs) != len(base.in_partitions):
-        raise ValueError("input arity does not match the rule base")
-    curve = np.zeros(256, dtype=np.float64)
-    for antecedent, (consequent, degree) in sorted(base.rules.items()):
-        grades = [
-            float(base.in_partitions[k].evaluate(region, inputs[k]))
-            for k, region in enumerate(antecedent)
-        ]
-        strength = degree * min(grades)
-        if strength <= 0.0:
-            continue
-        level = base.out_partition.spike_level(consequent)
-        if strength > curve[level]:
-            curve[level] = strength
-    return FuzzyOutput(samples=curve)
-
-
-def defuzzify(out: FuzzyOutput) -> DefuzzResult:
-    """Centroid of the sampled curve, rounded half-up; an all-zero curve
-    returns level 0 with the no_rule_fired flag set."""
-    mass = float(out.samples.sum())
-    if mass <= 0.0:
-        return DefuzzResult(level=0, no_rule_fired=True)
-    levels = np.arange(256, dtype=np.float64)
-    centroid = float((levels * out.samples).sum()) / mass
-    level = int(round_half_up(centroid))
-    return DefuzzResult(level=min(max(level, 0), 255), no_rule_fired=False)

@@ -28,6 +28,7 @@ __all__ = [
     "MalformedHeaderError",
     "UnsupportedMaxvalError",
     "TruncatedRasterError",
+    "RasterAboveMaxvalError",
     "load_pgm",
     "save_pgm",
     "load_image",
@@ -69,6 +70,9 @@ class GrayImage:
                 f"pixel count {arr.size} does not match {width}x{height}"
             )
         if arr.dtype != np.uint8:
+            # NaN fails this test too, as NaN != NaN
+            if arr.dtype.kind == "f" and not np.array_equal(arr, np.floor(arr)):
+                raise ValueError("pixel values must be finite integers")
             if arr.size and (arr.min() < 0 or arr.max() > 255):
                 raise ValueError("pixel values must lie in [0, 255]")
             arr = arr.astype(np.uint8)
@@ -209,6 +213,10 @@ class TruncatedRasterError(PgmError):
     """Fewer raster bytes than width*height."""
 
 
+class RasterAboveMaxvalError(PgmError):
+    """A raster byte exceeds the header's maxval."""
+
+
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
@@ -235,7 +243,8 @@ def load_pgm(data: bytes) -> GrayImage:
     """Parse a binary PGM (P5) byte string into a GrayImage.
 
     Header tokens may be separated by any whitespace and '#' comments.
-    Distinct errors: malformed header, maxval > 255, truncated raster.
+    Distinct errors: malformed header, maxval > 255, truncated raster,
+    raster byte above maxval.
     """
     magic, pos = _read_header_token(data, 0)
     if magic != b"P5":
@@ -263,7 +272,10 @@ def load_pgm(data: bytes) -> GrayImage:
         raise TruncatedRasterError(
             f"raster holds {len(raster)} bytes, needs {width * height}"
         )
-    return GrayImage(width, height, np.frombuffer(raster, dtype=np.uint8))
+    pixels = np.frombuffer(raster, dtype=np.uint8)
+    if maxval < 255 and pixels.max() > maxval:
+        raise RasterAboveMaxvalError(f"raster byte {pixels.max()} exceeds maxval {maxval}")
+    return GrayImage(width, height, pixels)
 
 
 def save_pgm(image: GrayImage) -> bytes:

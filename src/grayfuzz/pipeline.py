@@ -3,18 +3,17 @@ per-pixel inference, restored image out.
 
 Stages, in order: (1) histogram and the fifteen-threshold report; (2) pixel
 attributes - each pixel carries its own intensity and the mean of its
-clamp-padded square neighbourhood; (3) an anchor partition built from the
-converged thresholds covers both input variables; (4) training pairs drawn
-from a 1-in-``training_stride`` staggered pixel lattice map those attributes
-to the mean intensity of the pixel's majority-vote class, so learning needs
-no clean reference; (5) the combined rule base then restores every pixel through
-min/max inference and centroid decoding, rounded half-up and clamped.  A
-pixel whose attributes fire no rule is restored to level 0.
+clamp-padded square neighbourhood, both exact in one integer key,
+``value * 2296 + window_sum``; (3) an anchor partition built from the
+converged thresholds covers both input variables; (4) the distinct keys of
+a 1-in-``training_stride`` staggered pixel lattice map those attributes to
+the mean intensity of the pixel's majority-vote class, so learning needs no
+clean reference; (5) ``apply_rulebase`` then restores every pixel through
+min/max inference and centroid decoding, rounded half-up and clamped, once
+per distinct key.  A pixel whose attributes fire no rule is restored to 0.
 
 The whole path is deterministic: a fixed (image, config) always produces a
-bit-identical result.  Per-pixel inference is evaluated in a batched form
-that computes exactly the same firing strengths, spike heights and centroid
-as calling ``fuzzy.infer`` + ``fuzzy.defuzzify`` pixel by pixel.
+bit-identical result.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ __all__ = [
     "PipelineConfig",
     "ExtractionResult",
     "WINDOW",
+    "apply_rulebase",
     "extract",
     "fuzzify_image",
     "two_level_image",
@@ -52,6 +52,7 @@ __all__ = [
 
 
 WINDOW = 3  # side of the square neighbourhood behind each pixel's mean attribute
+_SUM_LEVELS = 255 * WINDOW * WINDOW + 1  # window sums run over 0..2295
 
 
 @dataclass(frozen=True)
@@ -79,38 +80,39 @@ class ExtractionResult:
     degenerate: bool = False
 
 
-def neighborhood_mean(image: GrayImage, window: int = 3) -> np.ndarray:
-    """Mean of the window x window neighbourhood around every pixel,
-    clamp-to-edge at the borders.  Exact: integer window sums divided once.
-    """
+def _window_sums(image: GrayImage, window: int) -> np.ndarray:
+    """Integer window x window neighbourhood sums, clamp-to-edge at the
+    borders, from an int64 summed-area table (Crow 1984)."""
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be an odd positive integer")
-    if window == 1:
-        return image.to_array().astype(np.float64)
-    k = window // 2
-    padded = np.pad(image.to_array().astype(np.float64), k, mode="edge")
-    integral = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1))
-    integral[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
+    padded = np.pad(image.to_array().astype(np.int64), window // 2, mode="edge")
+    integral = np.pad(padded.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
     w = window
-    sums = (
-        integral[w:, w:]
-        - integral[:-w, w:]
-        - integral[w:, :-w]
-        + integral[:-w, :-w]
-    )
-    return sums / float(w * w)
+    return integral[w:, w:] - integral[:-w, w:] - integral[w:, :-w] + integral[:-w, :-w]
+
+
+def neighborhood_mean(image: GrayImage, window: int = 3) -> np.ndarray:
+    """Mean of the window x window neighbourhood around every pixel,
+    clamp-to-edge at the borders.  Exact: integer window sums divided once."""
+    return _window_sums(image, window) / float(window * window)
+
+
+def _pixel_keys(image: GrayImage) -> np.ndarray:
+    """One int64 key per pixel, ``value * _SUM_LEVELS + window sum``."""
+    sums = _window_sums(image, WINDOW).reshape(-1)
+    return image.pixels.astype(np.int64) * _SUM_LEVELS + sums
+
+
+def _key_inputs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(value, window mean) of each key, exactly as ``neighborhood_mean``."""
+    return keys // _SUM_LEVELS, (keys % _SUM_LEVELS) / float(WINDOW * WINDOW)
 
 
 def _training_indices(height: int, width: int, stride: int) -> np.ndarray:
     """Flat indices of every stride-th pixel per row, with the column phase
     shifted by the row index.  The stagger keeps the 1-in-stride budget while
     covering all columns even when the width is a multiple of the stride."""
-    if stride == 1:
-        return np.arange(height * width)
-    rows, cols = np.mgrid[0:height, 0:width]
-    picked = (cols - rows) % stride == 0
-    idx = np.flatnonzero(picked.reshape(-1))
-    return idx if idx.size else np.array([0])
+    return np.flatnonzero((np.arange(width) - np.arange(height)[:, None]) % stride == 0)
 
 
 def _class_means(image: GrayImage, mask: BinaryMask) -> Tuple[float, float]:
@@ -149,35 +151,28 @@ def fuzzify_image(image: GrayImage, partition: FuzzyPartition) -> np.ndarray:
     return grades.reshape(partition.region_count, image.height, image.width)
 
 
-def _apply_rulebase_batched(
-    base: RuleBase,
-    values: np.ndarray,
-    means: np.ndarray,
-) -> Tuple[np.ndarray, int]:
-    """Defuzzified level for every (value, mean) pixel pair; 0 where no rule
-    fires.
+def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Restored level of each key (0 where no rule fires), and how many fire none.
 
-    Batched equivalent of infer+defuzzify per pixel: identical firing
-    strengths (degree * min of memberships), identical per-spike max
-    aggregation, identical centroid and rounding.
+    Evaluated once per occupied key: each rule fires at degree * min of its
+    memberships, each spike level keeps its strongest rule, and the centroid
+    of the spikes is rounded half-up.
     """
-    stacked = np.stack([values, means], axis=1)
-    uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    part_v, part_m = base.in_partitions
-    grades_v = part_v.memberships(uniq[:, 0])
-    grades_m = part_m.memberships(uniq[:, 1])
+    table = np.zeros(256 * _SUM_LEVELS, dtype=np.int16)  # level per key, -1: no rule
+    table[keys] = 1
+    occupied = np.flatnonzero(table)
+    values, means = _key_inputs(occupied)
+    grades_v = base.in_partitions[0].memberships(values)
+    grades_m = base.in_partitions[1].memberships(means)
 
     heights: dict[int, np.ndarray] = {}
     for antecedent, (consequent, degree) in sorted(base.rules.items()):
         firing = degree * np.minimum(grades_v[antecedent[0]], grades_m[antecedent[1]])
         level = base.out_partition.spike_level(consequent)
-        if level in heights:
-            np.maximum(heights[level], firing, out=heights[level])
-        else:
-            heights[level] = firing
+        heights[level] = np.maximum(heights.get(level, 0.0), firing)
 
-    numerator = np.zeros(len(uniq), dtype=np.float64)
-    mass = np.zeros(len(uniq), dtype=np.float64)
+    numerator = np.zeros(occupied.size, dtype=np.float64)
+    mass = np.zeros(occupied.size, dtype=np.float64)
     for level in sorted(heights):
         numerator += level * heights[level]
         mass += heights[level]
@@ -185,10 +180,20 @@ def _apply_rulebase_batched(
     fired = mass > 0.0
     centroid = np.divide(numerator, mass, out=np.zeros_like(numerator), where=fired)
     levels = np.clip(round_half_up(centroid), 0, 255)
-    levels = np.where(fired, levels, 0)
-    per_pixel = levels[inverse]
-    no_rule = int((~fired[inverse]).sum())
-    return per_pixel.astype(np.uint8), no_rule
+    table[occupied] = np.where(fired, levels, -1)
+    restored = table[keys]
+    return np.maximum(restored, 0).astype(np.uint8), int(np.count_nonzero(restored < 0))
+
+
+def apply_rulebase(base: RuleBase, image: GrayImage) -> Tuple[GrayImage, int]:
+    """Restore every pixel of ``image`` with a two-input rule base over the
+    pixel value and its WINDOW x WINDOW mean, as ``extract`` does.  Returns
+    the restored image and the number of pixels that fired no rule (set to 0).
+    """
+    if len(base.in_partitions) != 2:
+        raise ValueError(f"need a rule base with 2 inputs, not {len(base.in_partitions)}")
+    levels, no_rule = _apply_rulebase(base, _pixel_keys(image))
+    return GrayImage(image.width, image.height, levels), no_rule
 
 
 def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> ExtractionResult:
@@ -216,21 +221,20 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
     in_partition = build_partition(anchors, cfg.min_regions)
     in_partitions = (in_partition, in_partition)
 
-    values = noisy.pixels.astype(np.float64)
-    means = neighborhood_mean(noisy, WINDOW).reshape(-1)
+    keys = _pixel_keys(noisy)
     bg_mean, fg_mean = _class_means(noisy, mask)
-    targets = np.where(mask.bits, fg_mean, bg_mean)
-
     out_partition = build_partition(sorted({bg_mean, fg_mean}), cfg.min_regions)
 
+    # The mask depends on the value alone, so equal keys give equal candidates.
     idx = _training_indices(noisy.height, noisy.width, cfg.training_stride)
+    train_keys, at = np.unique(keys[idx], return_index=True)
+    targets = np.where(mask.bits[idx[at]], fg_mean, bg_mean)
     candidates = generate_rules(
-        np.stack([values[idx], means[idx]], axis=1), targets[idx],
-        in_partitions, out_partition,
+        np.stack(_key_inputs(train_keys), axis=1), targets, in_partitions, out_partition,
     )
     base = combine(candidates, in_partitions, out_partition)
 
-    restored, no_rule = _apply_rulebase_batched(base, values, means)
+    restored, no_rule = _apply_rulebase(base, keys)
     extracted = GrayImage(noisy.width, noisy.height, restored)
     return ExtractionResult(
         extracted=extracted,

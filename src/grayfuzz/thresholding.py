@@ -518,16 +518,14 @@ def fuse_decision_level(image: GrayImage, report: ThresholdReport) -> BinaryMask
     """Decision-level fusion: per-pixel majority vote of the converged methods.
 
     Foreground needs strictly more than half the votes; exact ties are
-    background.
+    background.  Each vote is ``value > level``, so the vote count rises with
+    the value, and the majority is the single split at the level of rank
+    ``n // 2`` in sorted order.
     """
     levels = report.converged_levels()
     if not levels:
         raise ValueError("no converged thresholds to fuse")
-    votes = np.zeros(image.pixels.size, dtype=np.int64)
-    for level in levels:
-        votes += image.pixels > level
-    bits = votes * 2 > len(levels)
-    return BinaryMask(width=image.width, height=image.height, bits=bits)
+    return binarize(image, sorted(levels)[len(levels) // 2])
 
 
 def binarize(image: GrayImage, level: int) -> BinaryMask:

@@ -1,5 +1,5 @@
-"""Independent brute-force references for the threshold criteria and the
-rule-learning procedure.
+"""Independent brute-force references for the threshold criteria, the
+rule-learning procedure, per-pixel inference and majority fusion.
 
 Every threshold oracle sweeps all candidate levels and evaluates the
 method's published criterion directly on freshly-summed histogram slices,
@@ -11,9 +11,14 @@ A return of None means the method fails on that histogram.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 import numpy as np
+
+from grayfuzz.fuzzy import RuleBase
+from grayfuzz.image_core import round_half_up
 
 LEVELS = 256
 
@@ -404,6 +409,108 @@ def wang_mendel_bruteforce(pairs, in_partitions, out_partition):
         ):
             combined[ant] = (cons, degree)
     return combined
+
+
+# ---------------------------------------------------------------------------
+# Per-pixel inference: one sampled output curve per input point
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FuzzyOutput:
+    """Aggregated output curve sampled at the 256 intensity levels."""
+
+    samples: np.ndarray
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
+        if samples.shape != (256,):
+            raise ValueError("output curve needs exactly 256 samples")
+        if samples.min() < 0.0 or samples.max() > 1.0:
+            raise ValueError("samples must lie in [0, 1]")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+
+
+@dataclass(frozen=True)
+class DefuzzResult:
+    level: int
+    no_rule_fired: bool
+
+
+def infer(base: RuleBase, inputs: Sequence[float]) -> FuzzyOutput:
+    """Max-min composition over the stored rules at one input point.
+
+    firing = degree * min(antecedent memberships); each rule contributes its
+    consequent envelope (unit spike at the region prototype) clipped at the
+    firing strength; curves aggregate by pointwise max.
+    """
+    if len(base.rules) == 0:
+        raise ValueError("empty rule base")
+    if len(inputs) != len(base.in_partitions):
+        raise ValueError("input arity does not match the rule base")
+    curve = np.zeros(256, dtype=np.float64)
+    for antecedent, (consequent, degree) in sorted(base.rules.items()):
+        grades = [
+            float(base.in_partitions[k].evaluate(region, inputs[k]))
+            for k, region in enumerate(antecedent)
+        ]
+        strength = degree * min(grades)
+        if strength <= 0.0:
+            continue
+        level = base.out_partition.spike_level(consequent)
+        if strength > curve[level]:
+            curve[level] = strength
+    return FuzzyOutput(samples=curve)
+
+
+def defuzzify(out: FuzzyOutput) -> DefuzzResult:
+    """Centroid of the sampled curve, rounded half-up; an all-zero curve
+    returns level 0 with the no_rule_fired flag set."""
+    mass = float(out.samples.sum())
+    if mass <= 0.0:
+        return DefuzzResult(level=0, no_rule_fired=True)
+    levels = np.arange(256, dtype=np.float64)
+    centroid = float((levels * out.samples).sum()) / mass
+    level = int(round_half_up(centroid))
+    return DefuzzResult(level=min(max(level, 0), 255), no_rule_fired=False)
+
+
+def window_means(image, window=3):
+    """Clamp-to-edge window means, one explicit neighbour sum per pixel."""
+    arr = image.to_array()
+    height, width = arr.shape
+    k = window // 2
+    means = []
+    for y in range(height):
+        for x in range(width):
+            total = 0
+            for dy in range(-k, k + 1):
+                for dx in range(-k, k + 1):
+                    yy = min(max(y + dy, 0), height - 1)
+                    xx = min(max(x + dx, 0), width - 1)
+                    total += int(arr[yy, xx])
+            means.append(total / float(window * window))
+    return means
+
+
+def restore_per_pixel(base, image, window=3):
+    """(levels, no-rule count) from infer + defuzzify at every pixel, with
+    level 0 where no rule fires."""
+    levels, no_rule = [], 0
+    for value, mean in zip(image.pixels.tolist(), window_means(image, window)):
+        decoded = defuzzify(infer(base, (float(value), mean)))
+        levels.append(0 if decoded.no_rule_fired else decoded.level)
+        no_rule += decoded.no_rule_fired
+    return levels, no_rule
+
+
+def majority_vote(pixels, levels):
+    """Per-pixel vote loop: foreground iff strictly more than half of the
+    levels lie below the value."""
+    votes = np.zeros(len(pixels), dtype=np.int64)
+    for level in levels:
+        votes += np.asarray(pixels) > level
+    return votes * 2 > len(levels)
 
 
 # ---------------------------------------------------------------------------

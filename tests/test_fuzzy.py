@@ -2,20 +2,16 @@ import numpy as np
 import pytest
 
 from grayfuzz.fuzzy import (
-    DefuzzResult,
-    FuzzyOutput,
     FuzzyPartition,
     RuleBase,
     RuleCandidates,
     build_partition,
     combine,
-    defuzzify,
     generate_rules,
-    infer,
-    membership,
 )
 
 import oracles
+from oracles import DefuzzResult, FuzzyOutput, defuzzify, infer
 
 
 def random_partition(rng, max_anchors=3, min_regions=2):
@@ -41,7 +37,7 @@ class TestBuildPartition:
         part = build_partition([128], min_regions=3)
         assert part.region_count == 3
         assert part.peaks == (0.0, 128.0, 255.0)
-        assert membership(part, 1, 128.0) == 1.0
+        assert float(part.evaluate(1, 128.0)) == 1.0
 
     def test_clustering_example(self):
         part = build_partition([100, 101, 200], min_regions=2)
@@ -86,13 +82,15 @@ class TestFuzzyPartition:
             FuzzyPartition(peaks)
 
     def test_rule_base_json_without_domain_peaks_rejected(self):
-        # peaks [50, 100] would otherwise grade x=10 at 1.0 through a shoulder
-        text = (
-            '{"schema": "grayfuzz.rulebase/1", "inputs": [{"peaks": [50, 100]}],'
-            ' "output": {"peaks": [0, 255]}, "rules": []}'
-        )
-        with pytest.raises(ValueError):
-            RuleBase.from_json_text(text)
+        # peaks [50, 100] would otherwise grade x=10 at 1.0 through a shoulder;
+        # peaks 5 is not a list at all
+        for peaks in ("[50, 100]", "5"):
+            text = (
+                f'{{"schema": "grayfuzz.rulebase/1", "inputs": [{{"peaks": {peaks}}}],'
+                ' "output": {"peaks": [0, 255]}, "rules": []}'
+            )
+            with pytest.raises(ValueError):
+                RuleBase.from_json_text(text)
 
 
 class TestMembership:
@@ -100,23 +98,23 @@ class TestMembership:
         self.part = build_partition([100, 200], min_regions=2)  # peaks 0,100,200,255
 
     def test_peak_is_one(self):
-        assert membership(self.part, 1, 100.0) == 1.0
+        assert float(self.part.evaluate(1, 100.0)) == 1.0
 
     def test_adjacent_peak_is_zero(self):
-        assert membership(self.part, 1, 200.0) == 0.0
-        assert membership(self.part, 1, 0.0) == 0.0
+        assert float(self.part.evaluate(1, 200.0)) == 0.0
+        assert float(self.part.evaluate(1, 0.0)) == 0.0
 
     def test_midway_is_half(self):
-        assert membership(self.part, 1, 150.0) == pytest.approx(0.5)
-        assert membership(self.part, 2, 150.0) == pytest.approx(0.5)
+        assert float(self.part.evaluate(1, 150.0)) == pytest.approx(0.5)
+        assert float(self.part.evaluate(2, 150.0)) == pytest.approx(0.5)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            membership(self.part, 9, 10.0)
+            float(self.part.evaluate(9, 10.0))
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
-            membership(self.part, 0, 300.0)
+            float(self.part.evaluate(0, 300.0))
 
 
 class TestGenerateRules:
@@ -305,6 +303,10 @@ class TestRuleBaseJson:
             '{"antecedent": [1, 0], "consequent": 9, "degree": 0.5}',  # consequent out of range
             '{"antecedent": [1, 0], "consequent": 0, "degree": 0.0}',  # degree not positive
             '{"antecedent": [1, 0], "consequent": 0, "degree": 1.5}',  # degree above one
+            '{"antecedent": [true, 0], "consequent": 0, "degree": 0.5}',  # bool region
+            '{"antecedent": [1.0, 0], "consequent": 0, "degree": 0.5}',  # float region
+            '{"antecedent": [1, 0], "consequent": 1.7, "degree": 0.5}',  # float consequent
+            '{"antecedent": [1, 0], "consequent": 0, "degree": "0.5"}',  # degree not a number
         ],
     )
     def test_invalid_rule_rejected(self, rule):

@@ -6,6 +6,7 @@ from grayfuzz.image_core import (
     Histogram,
     MalformedHeaderError,
     NoiseSpec,
+    RasterAboveMaxvalError,
     RegionLabeling,
     TruncatedRasterError,
     UnsupportedMaxvalError,
@@ -46,6 +47,11 @@ class TestPgm:
         with pytest.raises(UnsupportedMaxvalError):
             load_pgm(b"P5 1 1 65535 " + bytes([1, 1]))
 
+    def test_raster_byte_above_maxval(self):
+        assert load_pgm(b"P5 2 1 15 " + bytes([0, 15])).pixels.tolist() == [0, 15]
+        with pytest.raises(RasterAboveMaxvalError):
+            load_pgm(b"P5 2 1 15 " + bytes([0, 0xFF]))
+
     def test_bad_magic_and_header(self):
         with pytest.raises(MalformedHeaderError):
             load_pgm(b"P6 1 1 255 " + bytes([1, 2, 3]))
@@ -74,6 +80,10 @@ class TestGrayImage:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             GrayImage(1, 2, [0, 300])
+        for bad in (3.7, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                GrayImage(1, 1, [bad])
+        assert GrayImage(1, 1, [3.0]).pixels.tolist() == [3]
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):

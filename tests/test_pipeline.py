@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from grayfuzz.fuzzy import defuzzify, infer
 from grayfuzz.image_core import (
     GrayImage,
     NoiseSpec,
@@ -21,6 +20,8 @@ from grayfuzz.pipeline import (
     two_level_image,
 )
 from grayfuzz.thresholding import binarize
+
+from oracles import defuzzify, infer
 
 
 class TestConfig:
