@@ -16,6 +16,7 @@ from .image_core import (
     UnsupportedMaxvalError,
     TruncatedRasterError,
     RasterAboveMaxvalError,
+    PillowMissingError,
     add_gaussian_noise,
     bimodal_phantom,
     histogram,

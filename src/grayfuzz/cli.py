@@ -120,15 +120,16 @@ def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -
         for sigma in spec.sigmas:
             for seed in spec.seeds:
                 noisy = add_gaussian_noise(clean, NoiseSpec(sigma=sigma, seed=seed))
-                report = threshold_report(histogram(noisy))
+                result = extract(noisy, cfg) if want_proposed else None
+                # extract builds its report from the same histogram by the same call
+                report = result.report if result is not None else threshold_report(histogram(noisy))
                 for method in single_methods:
                     entry = report.entries[method]
                     if entry.status != "converged":
                         continue
                     recon = two_level_image(noisy, binarize(noisy, entry.level))
                     scores[(method.value, sigma)].append(compare(recon, clean).psnr_db)
-                if want_proposed:
-                    result = extract(noisy, cfg)
+                if result is not None:
                     if result.degenerate:
                         degenerate_runs += 1
                     if spec.compare_mode == "binarized-means":

@@ -232,12 +232,19 @@ class RuleBase:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RuleBase":
+        if not isinstance(payload, dict):
+            raise ValueError("rule base must be a JSON object")
         if payload.get("schema") != RULEBASE_SCHEMA:
             raise ValueError(f"unsupported rule base schema {payload.get('schema')!r}")
+        for key in ("inputs", "rules"):
+            if type(payload.get(key)) is not list:
+                raise ValueError(f"rule base {key!r} must be a list")
         in_parts = tuple(_partition_from_json(p) for p in payload["inputs"])
-        out_part = _partition_from_json(payload["output"])
+        out_part = _partition_from_json(payload.get("output"))
         rules = {}
         for r in payload["rules"]:
+            if not isinstance(r, dict) or not r.keys() >= {"antecedent", "consequent", "degree"}:
+                raise ValueError(f"rule {r!r}: needs antecedent, consequent and degree")
             antecedent, consequent, degree = r["antecedent"], r["consequent"], r["degree"]
             if type(antecedent) is not list or any(
                 type(region) is not int for region in [*antecedent, consequent]

@@ -29,6 +29,7 @@ __all__ = [
     "UnsupportedMaxvalError",
     "TruncatedRasterError",
     "RasterAboveMaxvalError",
+    "PillowMissingError",
     "load_pgm",
     "save_pgm",
     "load_image",
@@ -217,6 +218,10 @@ class RasterAboveMaxvalError(PgmError):
     """A raster byte exceeds the header's maxval."""
 
 
+class PillowMissingError(OSError):
+    """A non-PGM image needs pillow (the ``png`` extra) to be decoded."""
+
+
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
@@ -300,9 +305,9 @@ def load_image(path) -> GrayImage:
             return load_pgm(fh.read())
     try:
         from PIL import Image
-    except ImportError:  # pragma: no cover - depends on extras
-        raise RuntimeError(
-            "reading non-PGM images requires pillow (install grayfuzz[png])"
+    except ImportError:
+        raise PillowMissingError(
+            f"{path}: reading non-PGM images requires pillow (install grayfuzz[png])"
         ) from None
     with Image.open(path) as img:
         gray = img.convert("L")

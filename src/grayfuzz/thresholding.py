@@ -97,8 +97,19 @@ class ThresholdFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdEntry:
+    """A converged entry carries a level in [0, 255]; a failed one carries none."""
+
     level: Optional[int]
     status: str  # "converged" | "failed"
+
+    def __post_init__(self):
+        if self.status not in ("converged", "failed"):
+            raise ValueError(f"status {self.status!r} is neither 'converged' nor 'failed'")
+        if self.status == "failed" and self.level is not None:
+            raise ValueError(f"failed entry carries level {self.level!r}")
+        # exact type: bool is an int subclass
+        if self.status == "converged" and not (type(self.level) is int and 0 <= self.level <= 255):
+            raise ValueError(f"converged level {self.level!r} is not an integer in [0, 255]")
 
 
 @dataclass(frozen=True)
@@ -110,9 +121,6 @@ class ThresholdReport:
     def __post_init__(self):
         if set(self.entries) != set(METHOD_ORDER):
             raise ValueError("report must contain exactly the 15 methods")
-
-    def level(self, method: ThresholdMethod) -> Optional[int]:
-        return self.entries[method].level
 
     def converged(self) -> List[ThresholdMethod]:
         return [m for m in METHOD_ORDER if self.entries[m].status == "converged"]
@@ -159,7 +167,14 @@ class BinaryMask:
 # ---------------------------------------------------------------------------
 
 class _Stats:
-    """Exact cumulative sums reused by the criterion sweeps."""
+    """Exact cumulative sums and the two-class split at every candidate level.
+
+    A split at level ``t`` puts bins ``<= t`` in the background (class 0) and
+    the rest in the foreground (class 1).  The candidates ``t`` are
+    ``[first, last)``, the levels where both classes are populated, so no
+    class is empty.  Every count and sum is an integer below 2**53, so the
+    class counts and sums are exact floats.
+    """
 
     def __init__(self, counts: np.ndarray):
         self.counts = counts.astype(np.int64)
@@ -171,26 +186,38 @@ class _Stats:
         nz = np.flatnonzero(self.counts)
         self.first = int(nz[0])
         self.last = int(nz[-1])
+        self.p = self.counts / self.total
+        self.t = t = np.arange(self.first, self.last, dtype=np.int64)
+        n = float(self.total)
+        self.w0 = self.cum_w[t].astype(np.float64)
+        self.w1 = n - self.w0
+        self.s0 = self.cum_s[t].astype(np.float64)
+        self.s1 = float(self.cum_s[-1]) - self.s0
+        self.p0 = self.w0 / n
+        self.p1 = self.w1 / n
+        self.mu0 = self.s0 / self.w0
+        self.mu1 = self.s1 / self.w1
 
-    def candidates(self) -> np.ndarray:
-        """Levels where both classes are populated: [first, last)."""
-        return np.arange(self.first, self.last, dtype=np.int64)
+    def split(self, values: np.ndarray):
+        """Sums of a per-bin array below and above each candidate level."""
+        cum = np.cumsum(values)
+        return cum[self.t], cum[-1] - cum[self.t]
+
+    def midpoint(self, t: int) -> float:
+        """Mean of the two class means at one split, in exact integer sums."""
+        w_lo = int(self.cum_w[t])
+        s_lo = int(self.cum_s[t])
+        return (s_lo / w_lo + (int(self.cum_s[-1]) - s_lo) / (self.total - w_lo)) / 2.0
 
 
 def _lowest_argmin(values: np.ndarray, candidates: np.ndarray) -> int:
+    """Lowest candidate with the least finite value; maximizers pass the
+    negated criterion, which keeps the same first-index tie rule."""
     finite = np.isfinite(values)
     if not finite.any():
         raise ThresholdFailure("criterion undefined at every candidate level")
     vals = np.where(finite, values, np.inf)
     return int(candidates[int(np.argmin(vals))])
-
-
-def _lowest_argmax(values: np.ndarray, candidates: np.ndarray) -> int:
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise ThresholdFailure("criterion undefined at every candidate level")
-    vals = np.where(finite, values, -np.inf)
-    return int(candidates[int(np.argmax(vals))])
 
 
 def _require_spread(stats: _Stats, method: ThresholdMethod):
@@ -211,35 +238,24 @@ def _threshold_mean(stats: _Stats) -> int:
 
 def _threshold_percentile(stats: _Stats, fraction: float) -> int:
     candidates = np.arange(stats.first, stats.last + 1, dtype=np.int64)
-    frac = stats.cum_w[candidates] / stats.total
-    return _lowest_argmin(np.abs(frac - fraction), candidates)
+    return _lowest_argmin(np.abs(stats.cum_w[candidates] / stats.total - fraction), candidates)
 
 
 def _threshold_default(stats: _Stats) -> int:
-    lo, hi = stats.first, stats.last
-    moving = lo
+    moving = stats.first
     while True:
-        w_lo = int(stats.cum_w[moving])
-        s_lo = int(stats.cum_s[moving])
-        w_hi = stats.total - w_lo
-        s_hi = int(stats.cum_s[-1]) - s_lo
-        result = (s_lo / w_lo + s_hi / w_hi) / 2.0
+        result = stats.midpoint(moving)
         moving += 1
-        if not (moving + 1 <= result and moving < hi - 1):
+        if not (moving + 1 <= result and moving < stats.last - 1):
             break
     return int(round_half_up(result))
 
 
 def _threshold_isodata(stats: _Stats) -> int:
-    lo, hi = stats.first, stats.last
-    t = min(max(int(int(stats.cum_s[-1]) // stats.total), lo), hi - 1)
+    lo, hi = stats.first, stats.last - 1
+    t = min(max(_threshold_mean(stats), lo), hi)
     for _ in range(ISODATA_ITERATION_CAP):
-        w_lo = int(stats.cum_w[t])
-        s_lo = int(stats.cum_s[t])
-        mean_lo = s_lo / w_lo
-        mean_hi = (int(stats.cum_s[-1]) - s_lo) / (stats.total - w_lo)
-        t_new = int(round_half_up((mean_lo + mean_hi) / 2.0))
-        t_new = min(max(t_new, lo), hi - 1)
+        t_new = min(max(int(round_half_up(stats.midpoint(t))), lo), hi)
         if t_new == t:
             return t
         t = t_new
@@ -247,57 +263,33 @@ def _threshold_isodata(stats: _Stats) -> int:
 
 
 def _threshold_otsu(stats: _Stats) -> int:
-    t = stats.candidates()
-    n = float(stats.total)
-    w0 = stats.cum_w[t].astype(np.float64)
-    w1 = n - w0
-    s0 = stats.cum_s[t].astype(np.float64)
-    mu0 = s0 / w0
-    mu1 = (float(stats.cum_s[-1]) - s0) / w1
-    crit = (w0 / n) * (w1 / n) * (mu0 - mu1) ** 2
-    return _lowest_argmax(crit, t)
+    crit = stats.p0 * stats.p1 * (stats.mu0 - stats.mu1) ** 2
+    return _lowest_argmin(-crit, stats.t)
 
 
 def _threshold_li(stats: _Stats) -> int:
     # cross entropy reduces (up to a constant) to -(S0*ln mu0 + S1*ln mu1)
-    t = stats.candidates()
-    s0 = stats.cum_s[t].astype(np.float64)
-    s1 = float(stats.cum_s[-1]) - s0
-    w0 = stats.cum_w[t].astype(np.float64)
-    w1 = float(stats.total) - w0
     with np.errstate(divide="ignore", invalid="ignore"):
-        term0 = np.where(s0 > 0, s0 * np.log(s0 / w0), 0.0)
-        term1 = np.where(s1 > 0, s1 * np.log(s1 / w1), 0.0)
-    return _lowest_argmin(-(term0 + term1), t)
+        term0 = np.where(stats.s0 > 0, stats.s0 * np.log(stats.mu0), 0.0)
+        term1 = np.where(stats.s1 > 0, stats.s1 * np.log(stats.mu1), 0.0)
+    return _lowest_argmin(-(term0 + term1), stats.t)
 
 
 def _threshold_max_entropy(stats: _Stats) -> int:
-    t = stats.candidates()
-    p = stats.counts / stats.total
+    p, p0, p1 = stats.p, stats.p0, stats.p1
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(p), 0.0)
-    cum_plogp = np.cumsum(plogp)
-    p0 = stats.cum_w[t] / stats.total
-    p1 = (stats.total - stats.cum_w[t]) / stats.total
-    s0 = cum_plogp[t]
-    s1 = cum_plogp[-1] - s0
+    s0, s1 = stats.split(plogp)
     crit = (np.log(p0) - s0 / p0) + (np.log(p1) - s1 / p1)
-    return _lowest_argmax(crit, t)
+    return _lowest_argmin(-crit, stats.t)
 
 
 def _threshold_min_error(stats: _Stats) -> int:
-    t = stats.candidates()
-    n = float(stats.total)
-    w0 = stats.cum_w[t].astype(np.float64)
-    w1 = n - w0
-    s0 = stats.cum_s[t].astype(np.float64)
-    s1 = float(stats.cum_s[-1]) - s0
-    q0 = stats.cum_q[t].astype(np.float64)
+    q0 = stats.cum_q[stats.t].astype(np.float64)
     q1 = float(stats.cum_q[-1]) - q0
-    mu0, mu1 = s0 / w0, s1 / w1
-    var0 = q0 / w0 - mu0 ** 2
-    var1 = q1 / w1 - mu1 ** 2
-    p0, p1 = w0 / n, w1 / n
+    var0 = q0 / stats.w0 - stats.mu0 ** 2
+    var1 = q1 / stats.w1 - stats.mu1 ** 2
+    p0, p1 = stats.p0, stats.p1
     with np.errstate(divide="ignore", invalid="ignore"):
         j = (
             1.0
@@ -307,7 +299,7 @@ def _threshold_min_error(stats: _Stats) -> int:
     j = np.where((var0 > 0) & (var1 > 0), j, np.inf)
     if not np.isfinite(j).any():
         raise ThresholdFailure("MinError: no level with positive class variances")
-    return _lowest_argmin(j, t)
+    return _lowest_argmin(j, stats.t)
 
 
 def _smooth3(values: np.ndarray) -> np.ndarray:
@@ -325,31 +317,24 @@ def _strict_modes(values: np.ndarray) -> List[int]:
 
 def _threshold_minimum(stats: _Stats) -> int:
     smoothed = stats.counts.astype(np.float64)
-    modes = _strict_modes(smoothed)
-    iterations = 0
-    while len(modes) != 2:
-        smoothed = _smooth3(smoothed)
-        iterations += 1
-        if iterations > SMOOTHING_ITERATION_CAP:
-            raise ThresholdFailure(
-                "Minimum: histogram not bimodal within smoothing cap"
-            )
+    for _ in range(SMOOTHING_ITERATION_CAP + 1):
         modes = _strict_modes(smoothed)
+        if len(modes) == 2:
+            break
+        smoothed = _smooth3(smoothed)
+    else:
+        raise ThresholdFailure("Minimum: histogram not bimodal within smoothing cap")
     lo, hi = modes
     candidates = np.arange(lo + 1, hi, dtype=np.int64)
     return _lowest_argmin(smoothed[candidates], candidates)
 
 
 def _threshold_huang(stats: _Stats) -> int:
-    t = stats.candidates()
+    t = stats.t
     width = stats.last - stats.first  # >= 1 after the spread check
     bins = np.arange(256, dtype=np.float64)
-    w0 = stats.cum_w[t].astype(np.float64)
-    s0 = stats.cum_s[t].astype(np.float64)
-    mu0 = (s0 / w0)[:, None]
-    mu1 = ((float(stats.cum_s[-1]) - s0) / (float(stats.total) - w0))[:, None]
     below = bins[None, :] <= t[:, None]
-    dist = np.where(below, np.abs(bins[None, :] - mu0), np.abs(bins[None, :] - mu1))
+    dist = np.abs(bins[None, :] - np.where(below, stats.mu0[:, None], stats.mu1[:, None]))
     mu_x = 1.0 / (1.0 + dist / width)
     with np.errstate(divide="ignore", invalid="ignore"):
         shannon = -(mu_x * np.log(mu_x) + (1.0 - mu_x) * np.log(1.0 - mu_x))
@@ -359,7 +344,7 @@ def _threshold_huang(stats: _Stats) -> int:
 
 
 def _threshold_moments(stats: _Stats) -> int:
-    p = stats.counts / stats.total
+    p = stats.p
     bins = np.arange(256, dtype=np.float64)
     m1 = float((bins * p).sum())
     m2 = float((bins ** 2 * p).sum())
@@ -386,33 +371,26 @@ def _threshold_moments(stats: _Stats) -> int:
 
 def _threshold_renyi(stats: _Stats) -> int:
     # single-order Renyi entropy sum, alpha = 0.5
-    t = stats.candidates()
-    p = stats.counts / stats.total
-    cum_sqrt = np.cumsum(np.sqrt(p))
-    p0 = stats.cum_w[t] / stats.total
-    p1 = (stats.total - stats.cum_w[t]) / stats.total
-    cs0 = cum_sqrt[t]
-    cs1 = cum_sqrt[-1] - cs0
-    crit = (2.0 * np.log(cs0) - np.log(p0)) + (2.0 * np.log(cs1) - np.log(p1))
-    return _lowest_argmax(crit, t)
+    cs0, cs1 = stats.split(np.sqrt(stats.p))
+    crit = (2.0 * np.log(cs0) - np.log(stats.p0)) + (2.0 * np.log(cs1) - np.log(stats.p1))
+    return _lowest_argmin(-crit, stats.t)
 
 
 def _threshold_shanbhag(stats: _Stats) -> int:
-    t = stats.candidates()
-    p = stats.counts / stats.total
-    p1 = stats.cum_w / stats.total            # mass at or below each bin
-    p2 = (stats.total - stats.cum_w) / stats.total
-    p1_prev = np.concatenate(([0.0], p1[:-1]))
+    t, p, p0, p1 = stats.t, stats.p, stats.p0, stats.p1
+    below_mass = stats.cum_w / stats.total            # mass at or below each bin
+    above_mass = (stats.total - stats.cum_w) / stats.total
+    below_prev = np.concatenate(([0.0], below_mass[:-1]))
     bins = np.arange(256)
 
     below = bins[None, :] <= t[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        back_terms = p[None, :] * np.log(1.0 - 0.5 * p1_prev[None, :] / p1[t][:, None])
-        obj_terms = p[None, :] * np.log(1.0 - 0.5 * p2[None, :] / p2[t][:, None])
+        back_terms = p[None, :] * np.log(1.0 - 0.5 * below_prev[None, :] / p0[:, None])
+        obj_terms = p[None, :] * np.log(1.0 - 0.5 * above_mass[None, :] / p1[:, None])
     back_terms = np.where(below & (p[None, :] > 0), back_terms, 0.0)
     obj_terms = np.where(~below & (p[None, :] > 0), obj_terms, 0.0)
-    ent_back = -(0.5 / p1[t]) * back_terms.sum(axis=1)
-    ent_obj = -(0.5 / p2[t]) * obj_terms.sum(axis=1)
+    ent_back = -(0.5 / p0) * back_terms.sum(axis=1)
+    ent_obj = -(0.5 / p1) * obj_terms.sum(axis=1)
     return _lowest_argmin(np.abs(ent_back - ent_obj), t)
 
 
@@ -420,33 +398,20 @@ def _threshold_triangle(stats: _Stats) -> int:
     counts = stats.counts
     peak = int(np.argmax(counts))  # lowest bin among tied maxima
     first, last = stats.first, stats.last
-    if (peak - first) > (last - peak):
-        x1, y1 = first, int(counts[first])
-        x2, y2 = peak, int(counts[peak])
-        lo, hi = first, peak
-    else:
-        x1, y1 = peak, int(counts[peak])
-        x2, y2 = last, int(counts[last])
-        lo, hi = peak, last
-    dy = y2 - y1
-    dx = x2 - x1
-    cross = x2 * y1 - y2 * x1
+    # the line runs from the peak to the far end of the longer tail
+    lo, hi = (first, peak) if (peak - first) > (last - peak) else (peak, last)
+    x1, y1, x2, y2 = lo, int(counts[lo]), hi, int(counts[hi])
+    dy, dx, cross = y2 - y1, x2 - x1, x2 * y1 - y2 * x1
     candidates = np.arange(lo, hi + 1, dtype=np.int64)
     # perpendicular distance numerator; all-integer so ties are exact
     numer = np.abs(dy * candidates - dx * counts[candidates] + cross)
-    return _lowest_argmax(numer.astype(np.float64), candidates)
+    return _lowest_argmin(-numer.astype(np.float64), candidates)
 
 
 def _threshold_yen(stats: _Stats) -> int:
-    t = stats.candidates()
-    p = stats.counts / stats.total
-    cum_sq = np.cumsum(p * p)
-    p0 = stats.cum_w[t] / stats.total
-    p1 = (stats.total - stats.cum_w[t]) / stats.total
-    s0 = cum_sq[t]
-    s1 = cum_sq[-1] - s0
-    crit = 2.0 * np.log(p0 * p1) - np.log(s0 * s1)
-    return _lowest_argmax(crit, t)
+    s0, s1 = stats.split(stats.p * stats.p)
+    crit = 2.0 * np.log(stats.p0 * stats.p1) - np.log(s0 * s1)
+    return _lowest_argmin(-crit, stats.t)
 
 
 # Every method but Percentile, which also takes its target fraction.
@@ -494,8 +459,6 @@ def compute_threshold(
 
 def threshold_report(hist: Histogram, percentile_fraction: float = 0.5) -> ThresholdReport:
     """Run all fifteen methods; per-method failures land in the status column."""
-    if hist.total <= 0:
-        raise ValueError("histogram is empty")
     entries = {}
     for method in METHOD_ORDER:
         try:

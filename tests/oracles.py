@@ -329,6 +329,22 @@ def oracle_mean(counts):
     return int(sum(i * counts[i] for i in range(LEVELS)) // total)
 
 
+def oracle_default(counts):
+    # legacy moving-index update: the split index only ever moves up by one
+    counts = [int(c) for c in counts]
+    first, last = _occupied(counts)
+    if first == last:
+        return None
+    arr, weighted = _int_arrays(counts)
+    moving = first
+    while True:
+        w0, w1, s0, s1 = _class_sums(arr, weighted, moving)
+        midpoint = (s0 / w0 + s1 / w1) / 2.0
+        moving += 1
+        if moving + 1 > midpoint or moving >= last - 1:
+            return int(math.floor(midpoint + 0.5))
+
+
 def oracle_isodata(counts, t0=None, cap=10_000):
     counts = [int(c) for c in counts]
     first, last = _occupied(counts)

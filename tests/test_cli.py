@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from grayfuzz.cli import (
 )
 from grayfuzz.image_core import (
     GrayImage,
+    PillowMissingError,
     bimodal_phantom,
+    load_image,
     load_pgm,
     save_pgm,
     two_level_phantom,
@@ -102,6 +105,11 @@ class TestBenchmark:
         )
         lines = run_benchmark(spec, PipelineConfig()).csv_text.strip().split("\n")
         assert [l.split(",")[0] for l in lines[1:]] == ["Mean", "Otsu", PROPOSED_ROW]
+        # without the proposed row the threshold report is built apart from extract
+        alone = BenchmarkSpec(
+            images=(str(small_pgm),), sigmas=(15.0,), seeds=(1,), methods=("Otsu", "Mean"),
+        )
+        assert run_benchmark(alone, PipelineConfig()).csv_text.strip().split("\n") == lines[:-1]
 
     def test_inf_cell_for_exact_reconstruction(self, tmp_path):
         # sigma 0 on a clean two-level image: the pipeline restores it exactly
@@ -213,3 +221,14 @@ class TestNaCells:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5 4 4 255 xx")
         assert main(["benchmark", "--input", str(bad)]) == 2
+
+    def test_non_pgm_without_pillow_io_error(self, tmp_path, monkeypatch, capsys):
+        # a None entry makes `from PIL import Image` fail whether or not pillow is installed
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        png = tmp_path / "input.png"
+        png.write_bytes(b"\x89PNG\r\n\x1a\n")
+        with pytest.raises(PillowMissingError):
+            load_image(png)
+        code = main(["single", "--input", str(png), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "grayfuzz[png]" in capsys.readouterr().err

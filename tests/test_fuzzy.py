@@ -294,6 +294,16 @@ class TestRuleBaseJson:
     def test_schema_checked(self):
         with pytest.raises(ValueError):
             RuleBase.from_json_text('{"schema": "other/9", "inputs": [], "output": {"peaks": []}, "rules": []}')
+        # a payload that is not an object, inputs or rules that are not lists
+        for text in (
+            '[{"schema": "grayfuzz.rulebase/1"}]',
+            '{"schema": "grayfuzz.rulebase/1", "inputs": 5, "output": {"peaks": [0, 255]}, "rules": []}',
+            '{"schema": "grayfuzz.rulebase/1", "inputs": [], "output": {"peaks": [0, 255]}}',
+            '{"schema": "grayfuzz.rulebase/1", "inputs": [], "output": {"peaks": [0, 255]}, "rules": 5}',
+            '{"schema": "grayfuzz.rulebase/1", "inputs": [], "rules": []}',
+        ):
+            with pytest.raises(ValueError):
+                RuleBase.from_json_text(text)
 
     @pytest.mark.parametrize(
         "rule",
@@ -307,6 +317,9 @@ class TestRuleBaseJson:
             '{"antecedent": [1.0, 0], "consequent": 0, "degree": 0.5}',  # float region
             '{"antecedent": [1, 0], "consequent": 1.7, "degree": 0.5}',  # float consequent
             '{"antecedent": [1, 0], "consequent": 0, "degree": "0.5"}',  # degree not a number
+            '5',  # rule not an object
+            '[[1, 0], 0, 0.5]',  # rule as a list
+            '{"antecedent": [1, 0], "degree": 0.5}',  # no consequent
         ],
     )
     def test_invalid_rule_rejected(self, rule):

@@ -134,6 +134,7 @@ class TestOracleAgreement:
             assert compute_threshold(ThresholdMethod.MEAN, hist) == oracles.oracle_mean(counts)
             assert compute_threshold(ThresholdMethod.PERCENTILE, hist) == oracles.oracle_percentile(counts)
             assert level_or_none(ThresholdMethod.ISODATA, hist) == oracles.oracle_isodata(counts)
+            assert level_or_none(ThresholdMethod.DEFAULT, hist) == oracles.oracle_default(counts)
 
 
 class TestInvariants:
@@ -225,6 +226,26 @@ class TestFusion:
         img = GrayImage(3, 1, [0, 1, 255])
         assert binarize(img, 255).bits.tolist() == [False, False, False]
         assert binarize(img, 0).bits.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize(
+        "level, status",
+        [
+            (None, "converged"),
+            (2.5, "converged"),
+            (True, "converged"),
+            (np.int64(100), "converged"),
+            (-1, "converged"),
+            (256, "converged"),
+            (100, "failed"),
+            (100, "banana"),
+            (None, "banana"),
+        ],
+    )
+    def test_inconsistent_entry_rejected(self, level, status):
+        from grayfuzz.thresholding import ThresholdEntry
+
+        with pytest.raises(ValueError):
+            ThresholdEntry(level=level, status=status)
 
 
 class TestPercentileFraction:
