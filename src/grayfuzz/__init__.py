@@ -54,8 +54,6 @@ from .pipeline import (
     PipelineConfig,
     apply_rulebase,
     extract,
-    fuzzify_image,
-    neighborhood_mean,
     two_level_image,
 )
 from .metrics import MetricsRecord, compare, format_metric

@@ -34,7 +34,7 @@ from .image_core import (
 )
 from .metrics import compare, format_metric
 from .pipeline import PipelineConfig, extract, two_level_image
-from .thresholding import METHOD_ORDER, binarize, threshold_report
+from .thresholding import METHOD_ORDER, threshold_report
 
 __all__ = [
     "BenchmarkSpec",
@@ -127,13 +127,13 @@ def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -
                     entry = report.entries[method]
                     if entry.status != "converged":
                         continue
-                    recon = two_level_image(noisy, binarize(noisy, entry.level))
+                    recon = two_level_image(noisy, entry.level)
                     scores[(method.value, sigma)].append(compare(recon, clean).psnr_db)
                 if result is not None:
                     if result.degenerate:
                         degenerate_runs += 1
                     if spec.compare_mode == "binarized-means":
-                        candidate = two_level_image(noisy, result.mask)
+                        candidate = two_level_image(noisy, result.level)
                     else:
                         candidate = result.extracted
                     scores[(PROPOSED_ROW, sigma)].append(compare(candidate, clean).psnr_db)
@@ -170,7 +170,7 @@ def run_single(
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma=sigma, seed=seed))
     result = extract(noisy, cfg)
     if compare_mode == "binarized-means":
-        scored = two_level_image(noisy, result.mask)
+        scored = two_level_image(noisy, result.level)
     else:
         scored = result.extracted
 

@@ -115,30 +115,26 @@ class FuzzyPartition:
         return {"peaks": list(self.peaks)}
 
 
-def _cluster_anchors(anchors: Sequence[float], gap: float) -> List[float]:
-    # single linkage: chain anchors whose consecutive spacing stays below gap
+def _cluster_anchors(anchors: Sequence[float]) -> List[float]:
+    # single linkage: chain anchors whose consecutive spacing stays below the gap
     ordered = sorted(float(a) for a in anchors)
     clusters: List[List[float]] = [[ordered[0]]]
     for a in ordered[1:]:
-        if a - clusters[-1][-1] < gap:
+        if a - clusters[-1][-1] < DEFAULT_CLUSTER_GAP:
             clusters[-1].append(a)
         else:
             clusters.append([a])
     return [sum(c) / len(c) for c in clusters]
 
 
-def build_partition(
-    anchors: Sequence[float],
-    min_regions: int = 2,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
-) -> FuzzyPartition:
+def build_partition(anchors: Sequence[float], min_regions: int = 2) -> FuzzyPartition:
     """Anchor-derived Ruspini partition.
 
-    Near-identical anchors (spacing < cluster_gap) merge into one cluster
-    whose mean becomes an interior peak; shoulder regions at 0 and 255 are
-    always added.  If that yields fewer than ``min_regions`` regions, the
-    widest peak gap (leftmost on ties) is split at its midpoint until the
-    count is reached.
+    Near-identical anchors (spacing < ``DEFAULT_CLUSTER_GAP``) merge into
+    one cluster whose mean becomes an interior peak; shoulder regions at 0
+    and 255 are always added.  If that yields fewer than ``min_regions``
+    regions, the widest peak gap (leftmost on ties) is split at its midpoint
+    until the count is reached.
     """
     anchors = list(anchors)
     if not anchors:
@@ -147,7 +143,7 @@ def build_partition(
         raise ValueError("anchors must lie in [0, 255]")
     if min_regions < 2:
         raise ValueError("min_regions must be at least 2")
-    centers = [c for c in _cluster_anchors(anchors, cluster_gap) if 0.0 < c < DOMAIN_MAX]
+    centers = [c for c in _cluster_anchors(anchors) if 0.0 < c < DOMAIN_MAX]
     peaks = [0.0] + centers + [DOMAIN_MAX]
     while len(peaks) < min_regions:
         gaps = [b - a for a, b in zip(peaks, peaks[1:])]
@@ -298,19 +294,27 @@ def combine(
     out_partition: FuzzyPartition,
 ) -> RuleBase:
     """Resolve conflicts: one rule per antecedent, maximum degree winning,
-    lower consequent index breaking exact ties.  Order-independent."""
-    key = np.ravel_multi_index(
-        tuple(candidates.antecedents.T), [p.region_count for p in in_partitions]
-    )
-    order = np.lexsort((candidates.consequents, -candidates.degrees, key))
-    _, first = np.unique(key[order], return_index=True)
-    keep = order[first]
+    lower consequent index breaking exact ties.  Order-independent.
+
+    The strongest degree per (antecedent cell, consequent) fills a table;
+    ``argmax`` over an occupied cell's row takes its first maximum, the
+    lower consequent on ties.
+    """
+    shape = [p.region_count for p in in_partitions]
+    consequents = candidates.consequents
+    if np.any((consequents < 0) | (consequents >= out_partition.region_count)):
+        raise ValueError("candidate consequent outside the output partition")
+    cell = np.ravel_multi_index(tuple(candidates.antecedents.T), shape)
+    best = np.full((math.prod(shape), out_partition.region_count), -np.inf)
+    np.fmax.at(best, (cell, consequents), candidates.degrees)  # a NaN degree never wins
+    cells = np.flatnonzero(np.bincount(cell, minlength=best.shape[0]))
+    winners = best[cells].argmax(axis=1)
     rules = {
         tuple(antecedent): (consequent, degree)
         for antecedent, consequent, degree in zip(
-            candidates.antecedents[keep].tolist(),
-            candidates.consequents[keep].tolist(),
-            candidates.degrees[keep].tolist(),
+            np.stack(np.unravel_index(cells, shape), axis=1).tolist(),
+            winners.tolist(),
+            best[cells, winners].tolist(),
         )
     }
     return RuleBase(

@@ -145,8 +145,11 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < float("inf"):  # NaN fails both comparisons
+            raise ValueError(f"sigma {self.sigma!r} is not a finite non-negative number")
+        # bool is an int subclass; a float seed must not be truncated
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed {self.seed!r} is not an integer")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 

@@ -23,13 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fuzzy import (
-    FuzzyPartition,
-    RuleBase,
-    build_partition,
-    combine,
-    generate_rules,
-)
+from .fuzzy import RuleBase, build_partition, combine, generate_rules
 from .image_core import GrayImage, histogram, round_half_up
 from .thresholding import (
     BinaryMask,
@@ -45,14 +39,17 @@ __all__ = [
     "WINDOW",
     "apply_rulebase",
     "extract",
-    "fuzzify_image",
     "two_level_image",
-    "neighborhood_mean",
 ]
 
 
 WINDOW = 3  # side of the square neighbourhood behind each pixel's mean attribute
 _SUM_LEVELS = 255 * WINDOW * WINDOW + 1  # window sums run over 0..2295
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass; a float such as 2.5 must not be truncated
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -64,91 +61,61 @@ class PipelineConfig:
     training_stride: int = 4
 
     def __post_init__(self):
-        if self.min_regions < 3:
-            raise ValueError("min_regions must be at least 3")
-        if self.training_stride < 1:
-            raise ValueError("training_stride must be at least 1")
+        if not _is_int(self.min_regions) or self.min_regions < 3:
+            raise ValueError("min_regions must be an integer of at least 3")
+        if not _is_int(self.training_stride) or self.training_stride < 1:
+            raise ValueError("training_stride must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """``level`` is the majority split behind ``mask`` (background iff
+    value <= level); a degenerate input splits at its one value."""
+
     extracted: GrayImage
     report: ThresholdReport
     rulebase: Optional[RuleBase]
     mask: BinaryMask
+    level: int
     no_rule_pixels: int
     degenerate: bool = False
 
 
-def _window_sums(image: GrayImage, window: int) -> np.ndarray:
-    """Integer window x window neighbourhood sums, clamp-to-edge at the
-    borders, from an int64 summed-area table (Crow 1984)."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be an odd positive integer")
-    padded = np.pad(image.to_array().astype(np.int64), window // 2, mode="edge")
-    integral = np.pad(padded.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
-    w = window
-    return integral[w:, w:] - integral[:-w, w:] - integral[w:, :-w] + integral[:-w, :-w]
-
-
-def neighborhood_mean(image: GrayImage, window: int = 3) -> np.ndarray:
-    """Mean of the window x window neighbourhood around every pixel,
-    clamp-to-edge at the borders.  Exact: integer window sums divided once."""
-    return _window_sums(image, window) / float(window * window)
+def _window_sums(image: GrayImage) -> np.ndarray:
+    """Clamp-to-edge WINDOW x WINDOW neighbourhood sums, (height, width)
+    uint16: WINDOW-tap adds along rows, then along columns, over the
+    edge-padded raster."""
+    height, width = image.height, image.width
+    padded = np.pad(image.to_array(), WINDOW // 2, mode="edge").astype(np.uint16)
+    rows = sum(padded[:, i:i + width] for i in range(WINDOW))
+    return sum(rows[i:i + height] for i in range(WINDOW))
 
 
 def _pixel_keys(image: GrayImage) -> np.ndarray:
-    """One int64 key per pixel, ``value * _SUM_LEVELS + window sum``."""
-    sums = _window_sums(image, WINDOW).reshape(-1)
-    return image.pixels.astype(np.int64) * _SUM_LEVELS + sums
+    """One int32 key per pixel, ``value * _SUM_LEVELS + window sum``."""
+    return image.pixels.astype(np.int32) * _SUM_LEVELS + _window_sums(image).reshape(-1)
 
 
-def _key_inputs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(value, window mean) of each key, exactly as ``neighborhood_mean``."""
-    return keys // _SUM_LEVELS, (keys % _SUM_LEVELS) / float(WINDOW * WINDOW)
+def _split_means(counts: np.ndarray, level: int) -> Tuple[float, float]:
+    """(background mean, foreground mean) of a 256-bin census split at
+    ``level``, from exact integer sums; an empty class borrows the other's."""
+    weighted = np.arange(256, dtype=np.int64) * counts
+    bg_count, fg_count = int(counts[: level + 1].sum()), int(counts[level + 1:].sum())
+    bg_mean = int(weighted[: level + 1].sum()) / bg_count if bg_count else None
+    fg_mean = int(weighted[level + 1:].sum()) / fg_count if fg_count else None
+    return (fg_mean if bg_mean is None else bg_mean), (bg_mean if fg_mean is None else fg_mean)
 
 
-def _training_indices(height: int, width: int, stride: int) -> np.ndarray:
-    """Flat indices of every stride-th pixel per row, with the column phase
-    shifted by the row index.  The stagger keeps the 1-in-stride budget while
-    covering all columns even when the width is a multiple of the stride."""
-    return np.flatnonzero((np.arange(width) - np.arange(height)[:, None]) % stride == 0)
-
-
-def _class_means(image: GrayImage, mask: BinaryMask) -> Tuple[float, float]:
-    """(background mean, foreground mean); an empty class borrows the other's."""
-    pixels = image.pixels.astype(np.int64)
-    bits = mask.bits
-    fg_count = int(bits.sum())
-    bg_count = pixels.size - fg_count
-    fg_mean = float(pixels[bits].sum() / fg_count) if fg_count else None
-    bg_mean = float(pixels[~bits].sum() / bg_count) if bg_count else None
-    if fg_mean is None:
-        fg_mean = bg_mean
-    if bg_mean is None:
-        bg_mean = fg_mean
-    return bg_mean, fg_mean
-
-
-def two_level_image(image: GrayImage, mask: BinaryMask) -> GrayImage:
-    """Replace each class by its rounded mean intensity (the binarized-means
-    reconstruction used for single-method benchmark rows)."""
-    if (mask.width, mask.height) != (image.width, image.height):
-        raise ValueError("mask dimensions do not match image")
-    bg_mean, fg_mean = _class_means(image, mask)
-    bg_level = int(np.clip(round_half_up(bg_mean), 0, 255))
-    fg_level = int(np.clip(round_half_up(fg_mean), 0, 255))
-    pixels = np.where(mask.bits, np.uint8(fg_level), np.uint8(bg_level))
-    return GrayImage(image.width, image.height, pixels)
-
-
-def fuzzify_image(image: GrayImage, partition: FuzzyPartition) -> np.ndarray:
-    """Per-region membership maps, shape (region_count, height, width).
-
-    At every pixel the maps sum to one (Ruspini partition).
-    """
-    grades = partition.memberships(image.pixels.astype(np.float64))
-    return grades.reshape(partition.region_count, image.height, image.width)
+def two_level_image(image: GrayImage, level: int) -> GrayImage:
+    """Replace each class of the split at ``level`` (background iff value
+    <= level) by its rounded mean intensity: the binarized-means
+    reconstruction used for single-method benchmark rows."""
+    if not (_is_int(level) and 0 <= level <= 255):
+        raise ValueError(f"level {level!r} is not an integer in [0, 255]")
+    means = _split_means(np.bincount(image.pixels, minlength=256), level)
+    bg_level, fg_level = np.clip(round_half_up(means), 0, 255).astype(np.uint8)
+    lut = np.where(np.arange(256) > level, fg_level, bg_level)
+    return GrayImage(image.width, image.height, lut[image.pixels])
 
 
 def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -156,20 +123,30 @@ def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
 
     Evaluated once per occupied key: each rule fires at degree * min of its
     memberships, each spike level keeps its strongest rule, and the centroid
-    of the spikes is rounded half-up.
+    of the spikes is rounded half-up.  The memberships come from one table
+    per input, over the 256 values and the _SUM_LEVELS window sums.  The
+    occupied keys ascend, so their values do too, and a rule fires only on
+    the slice of keys whose value lies strictly inside its value region,
+    where that region's membership is non-zero.
     """
     table = np.zeros(256 * _SUM_LEVELS, dtype=np.int16)  # level per key, -1: no rule
     table[keys] = 1
     occupied = np.flatnonzero(table)
-    values, means = _key_inputs(occupied)
-    grades_v = base.in_partitions[0].memberships(values)
-    grades_m = base.in_partitions[1].memberships(means)
+    values, sums = np.divmod(occupied, _SUM_LEVELS)
+    part_v, part_m = base.in_partitions
+    lut_m = part_m.memberships(np.arange(_SUM_LEVELS) / float(WINDOW * WINDOW))
+    grades_v = np.take(part_v.memberships(np.arange(256)), values, axis=1)
+    grades_m = np.take(lut_m, sums, axis=1)
+    # value region a is non-zero strictly between peaks[a] and peaks[a + 2]
+    peaks = (-1.0,) + part_v.peaks + (256.0,)
+    above, below = np.searchsorted(values, peaks, side="right"), np.searchsorted(values, peaks)
 
     heights: dict[int, np.ndarray] = {}
-    for antecedent, (consequent, degree) in sorted(base.rules.items()):
-        firing = degree * np.minimum(grades_v[antecedent[0]], grades_m[antecedent[1]])
+    for (a, m), (consequent, degree) in sorted(base.rules.items()):
+        lo, hi = above[a], below[a + 2]
         level = base.out_partition.spike_level(consequent)
-        heights[level] = np.maximum(heights.get(level, 0.0), firing)
+        height = heights.setdefault(level, np.zeros(occupied.size))[lo:hi]
+        np.maximum(height, degree * np.minimum(grades_v[a, lo:hi], grades_m[m, lo:hi]), out=height)
 
     numerator = np.zeros(occupied.size, dtype=np.float64)
     mass = np.zeros(occupied.size, dtype=np.float64)
@@ -212,25 +189,35 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
             report=report,
             rulebase=None,
             mask=binarize(noisy, first),
+            level=first,
             no_rule_pixels=0,
             degenerate=True,
         )
 
     mask = fuse_decision_level(noisy, report)
-    anchors = [float(level) for level in report.converged_levels()]
+    level = report.majority_level()
+    anchors = [float(t) for t in report.converged_levels()]
     in_partition = build_partition(anchors, cfg.min_regions)
     in_partitions = (in_partition, in_partition)
-
-    keys = _pixel_keys(noisy)
-    bg_mean, fg_mean = _class_means(noisy, mask)
+    bg_mean, fg_mean = _split_means(hist.counts, level)
     out_partition = build_partition(sorted({bg_mean, fg_mean}), cfg.min_regions)
 
-    # The mask depends on the value alone, so equal keys give equal candidates.
-    idx = _training_indices(noisy.height, noisy.width, cfg.training_stride)
-    train_keys, at = np.unique(keys[idx], return_index=True)
-    targets = np.where(mask.bits[idx[at]], fg_mean, bg_mean)
+    # Training lattice: (column - row) % stride == 0.  The stagger keeps the
+    # 1-in-stride budget while covering all columns even when the width is a
+    # multiple of the stride.  It is the union of one strided grid per phase
+    # (phases past either side are empty); a table over all keys lists its
+    # distinct keys in ascending order.
+    keys = _pixel_keys(noisy)
+    grid, stride = keys.reshape(noisy.height, noisy.width), cfg.training_stride
+    seen = np.zeros(256 * _SUM_LEVELS, dtype=bool)
+    for phase in range(min(stride, *grid.shape)):
+        seen[grid[phase::stride, phase::stride]] = True
+    train_keys = np.flatnonzero(seen)
+    values, sums = np.divmod(train_keys, _SUM_LEVELS)
+    targets = np.where(values > level, fg_mean, bg_mean)
     candidates = generate_rules(
-        np.stack(_key_inputs(train_keys), axis=1), targets, in_partitions, out_partition,
+        np.stack([values, sums / float(WINDOW * WINDOW)], axis=1),
+        targets, in_partitions, out_partition,
     )
     base = combine(candidates, in_partitions, out_partition)
 
@@ -241,6 +228,7 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
         report=report,
         rulebase=base,
         mask=mask,
+        level=level,
         no_rule_pixels=no_rule,
         degenerate=False,
     )

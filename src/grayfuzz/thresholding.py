@@ -58,13 +58,10 @@ __all__ = [
     "fuse_decision_level",
     "binarize",
     "METHOD_ORDER",
-    "SMOOTHING_ITERATION_CAP",
-    "RENYI_ALPHA",
 ]
 
 SMOOTHING_ITERATION_CAP = 10_000
 ISODATA_ITERATION_CAP = 10_000
-RENYI_ALPHA = 0.5
 
 
 class ThresholdMethod(str, enum.Enum):
@@ -127,6 +124,14 @@ class ThresholdReport:
 
     def converged_levels(self) -> List[int]:
         return [self.entries[m].level for m in self.converged()]
+
+    def majority_level(self) -> int:
+        """The converged level of rank ``n // 2`` in sorted order: the split
+        of the per-pixel majority vote (see ``fuse_decision_level``)."""
+        levels = self.converged_levels()
+        if not levels:
+            raise ValueError("no converged thresholds to fuse")
+        return sorted(levels)[len(levels) // 2]
 
     def to_csv_text(self) -> str:
         lines = ["method,level,status"]
@@ -482,13 +487,10 @@ def fuse_decision_level(image: GrayImage, report: ThresholdReport) -> BinaryMask
 
     Foreground needs strictly more than half the votes; exact ties are
     background.  Each vote is ``value > level``, so the vote count rises with
-    the value, and the majority is the single split at the level of rank
-    ``n // 2`` in sorted order.
+    the value, and the majority is the single split at
+    ``report.majority_level()``.
     """
-    levels = report.converged_levels()
-    if not levels:
-        raise ValueError("no converged thresholds to fuse")
-    return binarize(image, sorted(levels)[len(levels) // 2])
+    return binarize(image, report.majority_level())
 
 
 def binarize(image: GrayImage, level: int) -> BinaryMask:

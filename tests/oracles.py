@@ -1,5 +1,6 @@
 """Independent brute-force references for the threshold criteria, the
-rule-learning procedure, per-pixel inference and majority fusion.
+rule-learning procedure, window sums, per-pixel inference and majority
+fusion.
 
 Every threshold oracle sweeps all candidate levels and evaluates the
 method's published criterion directly on freshly-summed histogram slices,
@@ -491,12 +492,13 @@ def defuzzify(out: FuzzyOutput) -> DefuzzResult:
     return DefuzzResult(level=min(max(level, 0), 255), no_rule_fired=False)
 
 
-def window_means(image, window=3):
-    """Clamp-to-edge window means, one explicit neighbour sum per pixel."""
+def window_sums(image, window=3):
+    """Clamp-to-edge window sums, one explicit neighbour sum per pixel, in
+    row-major order."""
     arr = image.to_array()
     height, width = arr.shape
     k = window // 2
-    means = []
+    sums = []
     for y in range(height):
         for x in range(width):
             total = 0
@@ -505,8 +507,27 @@ def window_means(image, window=3):
                     yy = min(max(y + dy, 0), height - 1)
                     xx = min(max(x + dx, 0), width - 1)
                     total += int(arr[yy, xx])
-            means.append(total / float(window * window))
-    return means
+            sums.append(total)
+    return sums
+
+
+def window_means(image, window=3):
+    """Clamp-to-edge window means, each explicit window sum divided once."""
+    return [total / float(window * window) for total in window_sums(image, window)]
+
+
+def neighborhood_mean(image, window=3):
+    """``window_means`` as a (height, width) array."""
+    return np.array(window_means(image, window)).reshape(image.height, image.width)
+
+
+def fuzzify_image(image, partition):
+    """Per-region membership maps, shape (region_count, height, width).
+
+    At every pixel the maps sum to one (Ruspini partition).
+    """
+    grades = partition.memberships(image.pixels.astype(np.float64))
+    return grades.reshape(partition.region_count, image.height, image.width)
 
 
 def restore_per_pixel(base, image, window=3):

@@ -82,6 +82,14 @@ class TestSingle:
         ])
         assert code == 1
 
+    def test_nan_sigma_usage_error(self, small_pgm, tmp_path, capsys):
+        code = main([
+            "single", "--input", str(small_pgm), "--sigma", "nan",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "sigma" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def test_csv_header_and_rows(self, small_pgm):

@@ -191,6 +191,27 @@ class TestCombine:
         base = combine(rules, (self.part,), self.part)
         assert base.rules[(1,)] == (1, 0.5)
 
+        # many cells, each with an equal-degree tie and a weaker lower consequent
+        rng = np.random.default_rng(8)
+        rows, expected = [], {}
+        for cell in [(a, b) for a in range(4) for b in range(4)]:
+            degree = float(rng.choice([0.25, 0.5, 1.0]))
+            tied = rng.choice(4, size=int(rng.integers(2, 5)), replace=False).tolist()
+            rows += [(cell, c, degree) for c in tied] + [(cell, 0, degree / 2)]
+            expected[cell] = (min(tied), degree)
+        rng.shuffle(rows)
+        base = combine(candidates(*rows), (self.part, self.part), self.part)
+        assert base.rules == expected
+
+    def test_nan_degree_never_wins(self):
+        rules = candidates(((1,), 0, float("nan")), ((1,), 2, 0.5))
+        assert combine(rules, (self.part,), self.part).rules == {(1,): (2, 0.5)}
+
+    @pytest.mark.parametrize("consequent", [-1, 4])
+    def test_consequent_outside_output_rejected(self, consequent):
+        with pytest.raises(ValueError):
+            combine(candidates(((1,), consequent, 0.5)), (self.part,), self.part)
+
 
 class TestInfer:
     def setup_method(self):

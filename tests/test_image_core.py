@@ -153,6 +153,14 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "sigma, seed",
+        [(float("nan"), 0), (float("inf"), 0), (10.0, 1.5), (10.0, -0.5), (10.0, True)],
+    )
+    def test_bad_spec_rejected(self, sigma, seed):
+        with pytest.raises(ValueError):
+            NoiseSpec(sigma=sigma, seed=seed)
+
 
 class TestRoundHalfUp:
     def test_convention(self):

@@ -11,17 +11,17 @@ from grayfuzz.image_core import (
     two_level_phantom,
 )
 from grayfuzz.metrics import compare
+from grayfuzz.fuzzy import build_partition
 from grayfuzz.pipeline import (
     WINDOW,
     PipelineConfig,
+    _pixel_keys,
     extract,
-    fuzzify_image,
-    neighborhood_mean,
     two_level_image,
 )
-from grayfuzz.thresholding import binarize
 
-from oracles import defuzzify, infer
+import oracles
+from oracles import defuzzify, fuzzify_image, infer, neighborhood_mean
 
 
 class TestConfig:
@@ -36,6 +36,9 @@ class TestConfig:
             {"min_regions": 0},
             {"training_stride": -1},
             {"training_stride": 0},
+            {"min_regions": 7.5},
+            {"training_stride": 2.5},
+            {"training_stride": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -60,6 +63,53 @@ class TestNeighborhoodMean:
         img = GrayImage.from_array(arr)
         means = neighborhood_mean(img, 3)
         assert means[2, 2] == pytest.approx(arr[1:4, 1:4].mean())
+
+
+class TestPixelKeys:
+    def test_keys_match_explicit_window_sums(self):
+        rng = np.random.default_rng(14)
+        shapes = [(1, 1), (1, 9), (9, 1), (2, 3)]
+        shapes += [(int(rng.integers(1, 24)), int(rng.integers(1, 24))) for _ in range(12)]
+        images = [GrayImage(w, h, rng.integers(0, 256, size=w * h)) for w, h in shapes]
+        images.append(GrayImage(7, 5, np.full(35, 255, dtype=np.uint8)))
+        for img in images:
+            expected = [
+                value * (255 * WINDOW * WINDOW + 1) + total
+                for value, total in zip(img.pixels.tolist(), oracles.window_sums(img, WINDOW))
+            ]
+            assert _pixel_keys(img).tolist() == expected, (img.width, img.height)
+
+
+class TestRuleLearning:
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5, 10 ** 12])
+    def test_rules_match_lattice_bruteforce(self, stride):
+        cfg = PipelineConfig(training_stride=stride)
+        for (w, h), seed in (((13, 9), 1), ((7, 17), 2), ((11, 11), 3)):
+            noisy = add_gaussian_noise(bimodal_phantom(w, h), NoiseSpec(sigma=40.0, seed=seed))
+            result = extract(noisy, cfg)
+            levels = result.report.converged_levels()
+            pixels = noisy.pixels.tolist()
+            fg = oracles.majority_vote(pixels, levels).tolist()
+            assert result.mask.bits.tolist() == fg
+            classes = {
+                flag: [p for p, f in zip(pixels, fg) if f == flag] for flag in (False, True)
+            }
+            means = {flag: sum(c) / len(c) for flag, c in classes.items() if c}
+            bg_mean = means.get(False, means.get(True))
+            fg_mean = means.get(True, bg_mean)
+            in_part = build_partition([float(t) for t in levels], cfg.min_regions)
+            out_part = build_partition(sorted({bg_mean, fg_mean}), cfg.min_regions)
+            assert result.rulebase.in_partitions == (in_part, in_part)
+            assert result.rulebase.out_partition == out_part
+
+            window = oracles.window_means(noisy, WINDOW)
+            pairs = [
+                ((float(pixels[i]), window[i]), fg_mean if fg[i] else bg_mean)
+                for i in range(w * h)
+                if (i % w - i // w) % stride == 0
+            ]
+            expected = oracles.wang_mendel_bruteforce(pairs, (in_part, in_part), out_part)
+            assert result.rulebase.rules == expected, ((w, h), seed)
 
 
 class TestExtract:
@@ -144,14 +194,12 @@ class TestFuzzifyImage:
 class TestTwoLevelImage:
     def test_class_means_rounded(self):
         img = GrayImage(4, 1, [10, 20, 200, 210])
-        mask = binarize(img, 100)
-        recon = two_level_image(img, mask)
+        recon = two_level_image(img, 100)
         assert recon.pixels.tolist() == [15, 15, 205, 205]
 
     def test_empty_class_borrows_other(self):
         img = GrayImage(2, 1, [10, 20])
-        mask = binarize(img, 100)  # no foreground
-        recon = two_level_image(img, mask)
+        recon = two_level_image(img, 100)  # no foreground
         assert recon.pixels.tolist() == [15, 15]
 
 
