@@ -8,11 +8,15 @@ base JSON, metrics JSON).
 single-method row scores its binarized-two-means reconstruction of the noisy
 image against the clean original, the "Proposed method" row scores the
 pipeline output (``--compare restored``, default) or its majority-mask
-two-means reading (``--compare binarized-means``).  Cells average over
-images and seeds, carry four decimals, and use "inf" / "n/a" sentinels.
+two-means reading (``--compare binarized-means``).  A two-means reading is
+scored from one joint (noisy, clean) census per sample, without building
+the image; the restored image goes through ``compare``.  Both give the same
+record for the same image.  Cells average over images and seeds, carry four
+decimals, and use "inf" / "n/a" sentinels.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 degenerate input
-escalated by --strict.
+Exit codes: 0 success, 1 usage error (all arguments are checked before a run
+starts), 2 I/O error, 3 degenerate input escalated by --strict, 4 internal
+fault (a ValueError raised inside a run that started).
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .image_core import (
     load_image,
     save_pgm,
 )
-from .metrics import compare, format_metric
-from .pipeline import PipelineConfig, extract, two_level_image
+from .metrics import SplitCensus, compare, format_metric
+from .pipeline import PipelineConfig, class_levels, extract, two_level_image
 from .thresholding import METHOD_ORDER, threshold_report
 
 __all__ = [
@@ -56,6 +60,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,13 @@ class BenchmarkSpec:
     def __post_init__(self):
         if not self.images:
             raise ValueError("benchmark needs at least one image")
-        if not self.sigmas or any(s < 0 for s in self.sigmas):
-            raise ValueError("benchmark needs non-negative sigmas")
+        if not self.sigmas:
+            raise ValueError("benchmark needs at least one sigma")
         if not self.seeds:
             raise ValueError("benchmark needs at least one seed")
+        for sigma in self.sigmas:
+            for seed in self.seeds:
+                NoiseSpec(sigma=sigma, seed=seed)  # raises a ValueError naming the bad value
         valid = set(DEFAULT_METHODS)
         unknown = [m for m in self.methods if m not in valid]
         if unknown or not self.methods:
@@ -83,8 +91,12 @@ class BenchmarkSpec:
 
 @dataclass(frozen=True)
 class BenchmarkResult:
+    """``samples[(row label, sigma)]`` is how many (image, seed) samples a
+    cell averages; a method that failed on a sample adds none."""
+
     csv_text: str
     degenerate_runs: int
+    samples: Dict[Tuple[str, float], int]
 
 
 def _format_sigma(sigma: float) -> str:
@@ -97,6 +109,11 @@ def _row_labels(spec: BenchmarkSpec) -> List[str]:
     if PROPOSED_KEY in wanted:
         labels.append(PROPOSED_ROW)
     return labels
+
+
+def _two_means_psnr(census: SplitCensus, level: int) -> float:
+    """PSNR of ``two_level_image(noisy, level)`` against the clean image."""
+    return census.score(level, *class_levels(census.source_counts, level)).psnr_db
 
 
 def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -> BenchmarkResult:
@@ -123,20 +140,19 @@ def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -
                 result = extract(noisy, cfg) if want_proposed else None
                 # extract builds its report from the same histogram by the same call
                 report = result.report if result is not None else threshold_report(histogram(noisy))
+                census = SplitCensus(noisy, clean)
                 for method in single_methods:
                     entry = report.entries[method]
-                    if entry.status != "converged":
-                        continue
-                    recon = two_level_image(noisy, entry.level)
-                    scores[(method.value, sigma)].append(compare(recon, clean).psnr_db)
+                    if entry.status == "converged":
+                        scores[(method.value, sigma)].append(_two_means_psnr(census, entry.level))
                 if result is not None:
                     if result.degenerate:
                         degenerate_runs += 1
                     if spec.compare_mode == "binarized-means":
-                        candidate = two_level_image(noisy, result.level)
+                        psnr = _two_means_psnr(census, result.level)
                     else:
-                        candidate = result.extracted
-                    scores[(PROPOSED_ROW, sigma)].append(compare(candidate, clean).psnr_db)
+                        psnr = compare(result.extracted, clean).psnr_db
+                    scores[(PROPOSED_ROW, sigma)].append(psnr)
 
     lines = ["method," + ",".join(_format_sigma(s) for s in spec.sigmas)]
     for label in labels:
@@ -145,7 +161,11 @@ def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -
             values = scores[(label, sigma)]
             cells.append(format_metric(sum(values) / len(values)) if values else "n/a")
         lines.append(label + "," + ",".join(cells))
-    return BenchmarkResult(csv_text="\n".join(lines) + "\n", degenerate_runs=degenerate_runs)
+    return BenchmarkResult(
+        csv_text="\n".join(lines) + "\n",
+        degenerate_runs=degenerate_runs,
+        samples={cell: len(values) for cell, values in scores.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -272,7 +292,10 @@ def _is_json(value, kind) -> bool:
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise _UsageError(f"benchmark config is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise _UsageError("benchmark config must be a JSON object")
     unknown = set(payload) - set(_CONFIG_TYPES)
@@ -288,7 +311,11 @@ def _load_config(path: str) -> dict:
 
 
 def _cmd_single(args) -> int:
-    cfg = PipelineConfig(min_regions=args.regions, training_stride=args.stride)
+    try:
+        NoiseSpec(sigma=args.sigma, seed=args.seed)
+        cfg = PipelineConfig(min_regions=args.regions, training_stride=args.stride)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     result = run_single(
         args.input, args.sigma, args.seed, args.out_dir,
         cfg=cfg, compare_mode=args.compare,
@@ -356,9 +383,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, PgmError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:  # every argument was checked before the run started
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

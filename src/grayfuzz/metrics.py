@@ -1,9 +1,11 @@
 """Objective image-quality criteria: MAE, MSE, SNR and PSNR.
 
-Sums are accumulated in 64-bit integers before the single final division,
-so results are platform-identical.  A zero-error pair reports infinite
-SNR/PSNR, serialized as the sentinel string "inf" (never a crash).
-All serialized floats carry four decimal places.
+Every record is reduced from two exact integer censuses: a 511-bin
+histogram of the pixel differences ``test - reference`` and a 256-bin
+histogram of the reference.  Sums are taken in 64-bit integers before the
+single final division, so results are platform-identical.  A zero-error
+pair reports infinite SNR/PSNR, serialized as the sentinel string "inf"
+(never a crash).  All serialized floats carry four decimal places.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .image_core import GrayImage
 
-__all__ = ["MetricsRecord", "compare", "format_metric", "PSNR_PEAK"]
+__all__ = ["MetricsRecord", "SplitCensus", "compare", "format_metric", "PSNR_PEAK"]
 
 PSNR_PEAK = 255  # 8-bit domain
 
@@ -51,25 +53,18 @@ class MetricsRecord:
         }
 
 
-def compare(test: GrayImage, reference: GrayImage) -> MetricsRecord:
-    """Pixelwise error statistics of ``test`` against ``reference``.
-
-    mae = mean |t-r|, mse = mean (t-r)^2, psnr = 10 log10(255^2/mse),
-    snr = 10 log10(sum r^2 / sum (t-r)^2).  Zero mse yields the infinite
-    sentinel for both ratios.
-    """
-    if (test.width, test.height) != (reference.width, reference.height):
-        raise ValueError(
-            f"dimension mismatch: {test.width}x{test.height} vs "
-            f"{reference.width}x{reference.height}"
-        )
-    t = test.pixels.astype(np.int64)
-    r = reference.pixels.astype(np.int64)
-    diff = t - r
-    n = diff.size
-    abs_sum = int(np.abs(diff).sum())
-    sq_sum = int((diff * diff).sum())
-    ref_sq_sum = int((r * r).sum())
+def _record(diff_counts: np.ndarray, ref_counts: np.ndarray) -> MetricsRecord:
+    """The record of a census pair: ``diff_counts[d + 255]`` pixels differ
+    from the reference by ``d``, and ``ref_counts[v]`` reference pixels have
+    value ``v``.  mae = mean |t-r|, mse = mean (t-r)^2, psnr = 10
+    log10(255^2/mse), snr = 10 log10(sum r^2 / sum (t-r)^2).  Zero mse
+    yields the infinite sentinel for both ratios."""
+    diffs = np.arange(-255, 256, dtype=np.int64)
+    values = np.arange(256, dtype=np.int64)
+    n = int(diff_counts.sum())
+    abs_sum = int((np.abs(diffs) * diff_counts).sum())
+    sq_sum = int((diffs * diffs * diff_counts).sum())
+    ref_sq_sum = int((values * values * ref_counts).sum())
 
     mae = abs_sum / n
     mse = sq_sum / n
@@ -81,3 +76,52 @@ def compare(test: GrayImage, reference: GrayImage) -> MetricsRecord:
     else:
         snr = 10.0 * math.log10(ref_sq_sum / sq_sum)
     return MetricsRecord(mae=mae, mse=mse, snr_db=snr, psnr_db=psnr)
+
+
+def _check_dimensions(test: GrayImage, reference: GrayImage) -> None:
+    if (test.width, test.height) != (reference.width, reference.height):
+        raise ValueError(
+            f"dimension mismatch: {test.width}x{test.height} vs "
+            f"{reference.width}x{reference.height}"
+        )
+
+
+def compare(test: GrayImage, reference: GrayImage) -> MetricsRecord:
+    """Pixelwise error statistics of ``test`` against ``reference``."""
+    _check_dimensions(test, reference)
+    diff = np.subtract(test.pixels, reference.pixels, dtype=np.int16)
+    return _record(
+        np.bincount(diff + 255, minlength=511),
+        np.bincount(reference.pixels, minlength=256),
+    )
+
+
+class SplitCensus:
+    """Scores every two-level reading of ``source`` against ``reference``
+    from one joint census of their pixel pairs, without building an image.
+
+    A reading at ``(level, low, high)`` replaces each source value <= level
+    by ``low`` and each one above by ``high``; ``score`` returns the record
+    ``compare`` gives that image.  ``source_counts`` is the source's
+    256-bin histogram.
+    """
+
+    def __init__(self, source: GrayImage, reference: GrayImage):
+        _check_dimensions(source, reference)
+        joint = np.bincount(
+            source.pixels.astype(np.int32) * 256 + reference.pixels, minlength=256 * 256
+        ).reshape(256, 256)
+        self.source_counts = joint.sum(axis=1)
+        # row v: reference histogram of the pixels whose source value is <= v
+        self._at_or_below = np.cumsum(joint, axis=0)
+
+    def score(self, level: int, low: int, high: int) -> MetricsRecord:
+        if not all(isinstance(v, (int, np.integer)) and 0 <= v <= 255 for v in (level, low, high)):
+            raise ValueError(f"reading {(level, low, high)!r} is not three integers in [0, 255]")
+        reference = self._at_or_below[-1]
+        background = self._at_or_below[level]
+        # a class at level L against reference value r lands in bin L - r + 255
+        diff_counts = np.zeros(511, dtype=np.int64)
+        diff_counts[low:low + 256] += background[::-1]
+        diff_counts[high:high + 256] += (reference - background)[::-1]
+        return _record(diff_counts, reference)

@@ -38,6 +38,7 @@ __all__ = [
     "ExtractionResult",
     "WINDOW",
     "apply_rulebase",
+    "class_levels",
     "extract",
     "two_level_image",
 ]
@@ -106,15 +107,22 @@ def _split_means(counts: np.ndarray, level: int) -> Tuple[float, float]:
     return (fg_mean if bg_mean is None else bg_mean), (bg_mean if fg_mean is None else fg_mean)
 
 
+def class_levels(counts: np.ndarray, level: int) -> Tuple[int, int]:
+    """(background, foreground) level of the two-means reading of a 256-bin
+    census split at ``level`` (background iff value <= level): each class's
+    mean intensity, rounded half-up."""
+    if not (_is_int(level) and 0 <= level <= 255):
+        raise ValueError(f"level {level!r} is not an integer in [0, 255]")
+    bg_level, fg_level = round_half_up(_split_means(counts, level)).tolist()
+    return bg_level, fg_level
+
+
 def two_level_image(image: GrayImage, level: int) -> GrayImage:
     """Replace each class of the split at ``level`` (background iff value
     <= level) by its rounded mean intensity: the binarized-means
-    reconstruction used for single-method benchmark rows."""
-    if not (_is_int(level) and 0 <= level <= 255):
-        raise ValueError(f"level {level!r} is not an integer in [0, 255]")
-    means = _split_means(np.bincount(image.pixels, minlength=256), level)
-    bg_level, fg_level = np.clip(round_half_up(means), 0, 255).astype(np.uint8)
-    lut = np.where(np.arange(256) > level, fg_level, bg_level)
+    reconstruction behind the single-method benchmark rows."""
+    bg_level, fg_level = class_levels(np.bincount(image.pixels, minlength=256), level)
+    lut = np.where(np.arange(256) > level, fg_level, bg_level).astype(np.uint8)
     return GrayImage(image.width, image.height, lut[image.pixels])
 
 

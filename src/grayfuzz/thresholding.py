@@ -307,31 +307,28 @@ def _threshold_min_error(stats: _Stats) -> int:
     return _lowest_argmin(j, stats.t)
 
 
-def _smooth3(values: np.ndarray) -> np.ndarray:
-    # 3-tap moving average with zeros outside the domain; kept as
-    # (left + mid + right)/3 so independent reimplementations match bitwise
-    padded = np.pad(values, 1)
-    return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
-
-
-def _strict_modes(values: np.ndarray) -> List[int]:
-    inner = np.arange(1, values.size - 1)
-    mask = (values[inner] > values[inner - 1]) & (values[inner] > values[inner + 1])
-    return [int(i) for i in inner[mask]]
-
-
 def _threshold_minimum(stats: _Stats) -> int:
-    smoothed = stats.counts.astype(np.float64)
+    # Smooth with a 3-tap moving average, zeros outside the domain, until
+    # exactly two strict inner modes remain.  Two buffers hold the histogram
+    # between zero pads and swap each pass; the sum stays (left + mid) +
+    # right, then / 3.0, so independent reimplementations match bitwise.
+    smoothed, spare = np.zeros(258), np.zeros(258)
+    smoothed[1:-1] = stats.counts
     for _ in range(SMOOTHING_ITERATION_CAP + 1):
-        modes = _strict_modes(smoothed)
-        if len(modes) == 2:
+        mid = smoothed[2:-2]
+        modes = (mid > smoothed[1:-3]) & (mid > smoothed[3:-1])
+        if np.count_nonzero(modes) == 2:
             break
-        smoothed = _smooth3(smoothed)
+        out = spare[1:-1]
+        np.add(smoothed[:-2], smoothed[1:-1], out=out)
+        out += smoothed[2:]
+        out /= 3.0
+        smoothed, spare = spare, smoothed
     else:
         raise ThresholdFailure("Minimum: histogram not bimodal within smoothing cap")
-    lo, hi = modes
+    lo, hi = np.flatnonzero(modes) + 1
     candidates = np.arange(lo + 1, hi, dtype=np.int64)
-    return _lowest_argmin(smoothed[candidates], candidates)
+    return _lowest_argmin(smoothed[candidates + 1], candidates)
 
 
 def _threshold_huang(stats: _Stats) -> int:

@@ -1,6 +1,6 @@
 """Independent brute-force references for the threshold criteria, the
-rule-learning procedure, window sums, per-pixel inference and majority
-fusion.
+rule-learning procedure, window sums, per-pixel inference, majority
+fusion and the image-quality metrics.
 
 Every threshold oracle sweeps all candidate levels and evaluates the
 method's published criterion directly on freshly-summed histogram slices,
@@ -20,6 +20,7 @@ import numpy as np
 
 from grayfuzz.fuzzy import RuleBase
 from grayfuzz.image_core import round_half_up
+from grayfuzz.metrics import PSNR_PEAK, MetricsRecord
 
 LEVELS = 256
 
@@ -567,3 +568,19 @@ def random_histogram(rng) -> np.ndarray:
         lobe = np.clip(np.round(lobe), 0, 255).astype(np.int64)
         counts += np.bincount(lobe, minlength=LEVELS)
     return counts
+
+
+def compare_per_pixel(test, reference) -> MetricsRecord:
+    """MAE/MSE/SNR/PSNR summed pixel by pixel in int64, with no census."""
+    t = test.pixels.astype(np.int64)
+    r = reference.pixels.astype(np.int64)
+    diff = t - r
+    abs_sum = int(np.abs(diff).sum())
+    sq_sum = int((diff * diff).sum())
+    ref_sq_sum = int((r * r).sum())
+    mae, mse = abs_sum / diff.size, sq_sum / diff.size
+    if sq_sum == 0:
+        return MetricsRecord(mae=mae, mse=mse, snr_db=math.inf, psnr_db=math.inf)
+    psnr = 10.0 * math.log10(PSNR_PEAK * PSNR_PEAK / mse)
+    snr = -math.inf if ref_sq_sum == 0 else 10.0 * math.log10(ref_sq_sum / sq_sum)
+    return MetricsRecord(mae=mae, mse=mse, snr_db=snr, psnr_db=psnr)

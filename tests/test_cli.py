@@ -20,6 +20,7 @@ from grayfuzz.image_core import (
     save_pgm,
     two_level_phantom,
 )
+from grayfuzz import cli
 from grayfuzz.pipeline import PipelineConfig
 
 
@@ -91,7 +92,64 @@ class TestSingle:
         assert "sigma" in capsys.readouterr().err
 
 
+class TestInternalFault:
+    """A ValueError raised after every argument was checked is an internal
+    fault (exit 4), not a usage error."""
+
+    @pytest.fixture(autouse=True)
+    def failing_extract(self, monkeypatch):
+        def extract(*args, **kwargs):
+            raise ValueError("fault inside the pipeline")
+
+        monkeypatch.setattr(cli, "extract", extract)
+
+    def test_single(self, small_pgm, tmp_path, capsys):
+        code = main(["single", "--input", str(small_pgm), "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert capsys.readouterr().err.startswith("internal error: fault inside")
+
+    def test_benchmark(self, small_pgm, capsys):
+        assert main(["benchmark", "--input", str(small_pgm), "--sigma", "15"]) == 4
+        assert capsys.readouterr().err.startswith("internal error: fault inside")
+
+    def test_bad_arguments_still_usage_errors(self, small_pgm, tmp_path):
+        assert main(["single", "--input", str(small_pgm), "--sigma", "nan",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert main(["single", "--input", str(small_pgm), "--regions", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert main(["benchmark", "--input", str(small_pgm), "--sigma", "nan"]) == 1
+        assert main(["benchmark", "--input", str(small_pgm), "--stride", "0"]) == 1
+
+
 class TestBenchmark:
+    @pytest.mark.parametrize(
+        "sigmas, seeds",
+        [((float("nan"),), (1,)), ((float("inf"),), (1,)), ((15.0, -1.0), (1,)),
+         ((15.0,), (1.5,)), ((15.0,), (True,)), ((15.0,), (1, -2)), ((), (1,)), ((15.0,), ())],
+    )
+    def test_bad_noise_parameters_rejected(self, sigmas, seeds):
+        # rejected when the spec is built, before any image is loaded
+        with pytest.raises(ValueError):
+            BenchmarkSpec(images=("never-loaded.pgm",), sigmas=sigmas, seeds=seeds)
+
+    def test_samples_per_cell(self, tmp_path):
+        flat = tmp_path / "flat.pgm"
+        flat.write_bytes(save_pgm(GrayImage(16, 16, np.full(256, 50, dtype=np.uint8))))
+        spec = BenchmarkSpec(images=(str(flat),), sigmas=(0.0, 20.0), seeds=(1, 2),
+                             methods=("Otsu", "Mean", "proposed"))
+        samples = run_benchmark(spec, PipelineConfig()).samples
+        # Otsu fails on the flat image at sigma 0 only
+        assert samples == {
+            ("Mean", 0.0): 2, ("Mean", 20.0): 2,
+            ("Otsu", 0.0): 0, ("Otsu", 20.0): 2,
+            (PROPOSED_ROW, 0.0): 2, (PROPOSED_ROW, 20.0): 2,
+        }
+
+    def test_malformed_config_usage_error(self, tmp_path):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text("{not json")
+        assert main(["benchmark", "--config", str(cfg_path)]) == 1
+
     def test_csv_header_and_rows(self, small_pgm):
         spec = BenchmarkSpec(images=(str(small_pgm),), sigmas=DEFAULT_SIGMAS, seeds=(1,))
         result = run_benchmark(spec, PipelineConfig())

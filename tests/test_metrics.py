@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from grayfuzz.image_core import GrayImage
-from grayfuzz.metrics import MetricsRecord, compare, format_metric
+from grayfuzz.metrics import MetricsRecord, SplitCensus, compare, format_metric
+from grayfuzz.pipeline import class_levels, two_level_image
+
+import oracles
 
 
 def random_pair(rng, n=64):
@@ -72,6 +75,50 @@ class TestInvariants:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compare(GrayImage(2, 1, [0, 0]), GrayImage(1, 2, [0, 0]))
+
+
+def random_images(rng, count):
+    """Pairs of random size and content, with all-equal, all-zero-reference
+    and black/white pairs mixed in."""
+    for k in range(count):
+        width, height = (int(v) for v in rng.integers(1, 24, size=2))
+        a = rng.integers(0, 256, size=width * height)
+        b = [rng.integers(0, 256, size=width * height), a, np.zeros_like(a),
+             rng.choice([0, 255], size=width * height)][k % 4]
+        yield GrayImage(width, height, a), GrayImage(width, height, b)
+
+
+class TestCensus:
+    def test_compare_matches_per_pixel_oracle(self):
+        rng = np.random.default_rng(34)
+        seen_inf = seen_neg_inf = False
+        for a, b in random_images(rng, 200):
+            record, expected = compare(a, b), oracles.compare_per_pixel(a, b)
+            assert record == expected
+            seen_inf |= math.isinf(record.psnr_db)
+            seen_neg_inf |= record.snr_db == -math.inf
+        assert seen_inf and seen_neg_inf
+
+    def test_split_scores_match_two_level_images(self):
+        rng = np.random.default_rng(35)
+        for noisy, clean in random_images(rng, 8):
+            census = SplitCensus(noisy, clean)
+            counts = np.bincount(noisy.pixels, minlength=256)
+            assert np.array_equal(census.source_counts, counts)
+            for level in range(256):
+                low, high = class_levels(counts, level)
+                expected = compare(two_level_image(noisy, level), clean)
+                assert census.score(level, low, high) == expected
+
+    @pytest.mark.parametrize("reading", [(-1, 0, 0), (0, 256, 0), (0, 0, 2.5), (300, 1, 1)])
+    def test_bad_reading_rejected(self, reading):
+        img = GrayImage(2, 1, [0, 100])
+        with pytest.raises(ValueError):
+            SplitCensus(img, img).score(*reading)
+
+    def test_census_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            SplitCensus(GrayImage(2, 1, [0, 0]), GrayImage(1, 2, [0, 0]))
 
 
 class TestSerialization:

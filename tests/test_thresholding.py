@@ -80,6 +80,13 @@ class TestSpecExamples:
         # fixed-point iteration started from 127 reaches the same level
         assert oracles.oracle_isodata(hist.counts, t0=127) == 120
 
+    def test_minimum_smoothing_operand_order(self):
+        # summing the 3-tap window as (mid + right) + left instead of
+        # (left + mid) + right moves this level from 151 to 217
+        hist = hist_from_counts({91: 2, 93: 4, 212: 19, 250: 5})
+        assert compute_threshold(ThresholdMethod.MINIMUM, hist) == 151
+        assert oracles.oracle_minimum(hist.counts) == 151
+
 
 class TestReport:
     def test_exactly_fifteen_entries(self):
