@@ -1,8 +1,10 @@
 """grayfuzz: gray image extraction from Gaussian-noise-corrupted scenes.
 
-Fifteen histogram auto-thresholding methods are fused - numerically and by
-per-pixel majority vote - into training data for a fuzzy rule base that
-restores the image content, evaluated with MAE/MSE/SNR/PSNR.
+Fifteen histogram auto-thresholding methods anchor the partitions of a
+fuzzy rule base, and their per-pixel majority vote, one split level, labels
+its training data; the rule base restores the image content, evaluated with
+MAE/MSE/SNR/PSNR.  Feature-level fusion, ``fuse_feature_level`` (the mean
+of the levels), feeds neither.
 """
 
 from .image_core import (
@@ -29,15 +31,12 @@ from .image_core import (
     validate_partition,
 )
 from .thresholding import (
-    BinaryMask,
     ThresholdEntry,
     ThresholdFailure,
     ThresholdMethod,
     ThresholdReport,
     METHOD_ORDER,
-    binarize,
     compute_threshold,
-    fuse_decision_level,
     fuse_feature_level,
     threshold_report,
 )
@@ -54,7 +53,6 @@ from .pipeline import (
     PipelineConfig,
     apply_rulebase,
     extract,
-    two_level_image,
 )
 from .metrics import MetricsRecord, compare, format_metric
 from .cli import BenchmarkSpec, BenchmarkResult, run_benchmark, run_single

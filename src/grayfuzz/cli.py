@@ -7,12 +7,12 @@ base JSON, metrics JSON).
 ``grayfuzz benchmark`` regenerates the method-by-sigma PSNR matrix: every
 single-method row scores its binarized-two-means reconstruction of the noisy
 image against the clean original, the "Proposed method" row scores the
-pipeline output (``--compare restored``, default) or its majority-mask
-two-means reading (``--compare binarized-means``).  A two-means reading is
-scored from one joint (noisy, clean) census per sample, without building
-the image; the restored image goes through ``compare``.  Both give the same
-record for the same image.  Cells average over images and seeds, carry four
-decimals, and use "inf" / "n/a" sentinels.
+pipeline output (``--compare restored``, default) or the two-means reading
+of its majority split level (``--compare binarized-means``).  A two-means
+reading is scored from one joint (noisy, clean) census per sample, without
+building the image; the restored image goes through ``compare``.  Both give
+the same record for the same image.  Cells average over images and seeds,
+carry four decimals, and use "inf" / "n/a" sentinels.
 
 Exit codes: 0 success, 1 usage error (all arguments are checked before a run
 starts), 2 I/O error, 3 degenerate input escalated by --strict, 4 internal
@@ -36,8 +36,8 @@ from .image_core import (
     load_image,
     save_pgm,
 )
-from .metrics import SplitCensus, compare, format_metric
-from .pipeline import PipelineConfig, class_levels, extract, two_level_image
+from .metrics import MetricsRecord, SplitCensus, compare, format_metric
+from .pipeline import PipelineConfig, class_levels, extract
 from .thresholding import METHOD_ORDER, threshold_report
 
 __all__ = [
@@ -111,9 +111,9 @@ def _row_labels(spec: BenchmarkSpec) -> List[str]:
     return labels
 
 
-def _two_means_psnr(census: SplitCensus, level: int) -> float:
-    """PSNR of ``two_level_image(noisy, level)`` against the clean image."""
-    return census.score(level, *class_levels(census.source_counts, level)).psnr_db
+def _two_means_record(census: SplitCensus, level: int) -> MetricsRecord:
+    """Record of the two-means reading of the noisy image split at ``level``."""
+    return census.score(level, *class_levels(census.source_counts, level))
 
 
 def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -> BenchmarkResult:
@@ -144,12 +144,14 @@ def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -
                 for method in single_methods:
                     entry = report.entries[method]
                     if entry.status == "converged":
-                        scores[(method.value, sigma)].append(_two_means_psnr(census, entry.level))
+                        scores[(method.value, sigma)].append(
+                            _two_means_record(census, entry.level).psnr_db
+                        )
                 if result is not None:
                     if result.degenerate:
                         degenerate_runs += 1
                     if spec.compare_mode == "binarized-means":
-                        psnr = _two_means_psnr(census, result.level)
+                        psnr = _two_means_record(census, result.level).psnr_db
                     else:
                         psnr = compare(result.extracted, clean).psnr_db
                     scores[(PROPOSED_ROW, sigma)].append(psnr)
@@ -190,9 +192,9 @@ def run_single(
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma=sigma, seed=seed))
     result = extract(noisy, cfg)
     if compare_mode == "binarized-means":
-        scored = two_level_image(noisy, result.level)
+        scored = _two_means_record(SplitCensus(noisy, clean), result.level)
     else:
-        scored = result.extracted
+        scored = compare(result.extracted, clean)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,7 +214,7 @@ def run_single(
     payload = {
         "compare": compare_mode,
         "noisy": compare(noisy, clean).to_json_dict(),
-        "extracted": compare(scored, clean).to_json_dict(),
+        "extracted": scored.to_json_dict(),
         "no_rule_pixels": result.no_rule_pixels,
         "degenerate": result.degenerate,
     }
@@ -246,8 +248,10 @@ def _build_parser() -> _Parser:
     single.add_argument("--sigma", type=float, default=15.0, help="noise std-dev")
     single.add_argument("--seed", type=int, default=1, help="noise PRNG seed")
     single.add_argument("--out-dir", required=True, help="directory for artifacts")
-    single.add_argument("--regions", type=int, default=7, help="minimum fuzzy regions")
-    single.add_argument("--stride", type=int, default=4, help="training subsample stride")
+    single.add_argument("--regions", type=int, default=PipelineConfig.min_regions,
+                        help="minimum fuzzy regions")
+    single.add_argument("--stride", type=int, default=PipelineConfig.training_stride,
+                        help="training subsample stride")
     single.add_argument("--compare", choices=COMPARE_MODES, default="restored")
     single.add_argument("--strict", action="store_true",
                         help="exit 3 when the input degenerates")
@@ -333,15 +337,17 @@ def _cmd_single(args) -> int:
 def _cmd_benchmark(args) -> int:
     config = _load_config(args.config) if args.config else {}
     images = tuple(args.input if args.input else config.get("images", ()))
-    sigmas = tuple(args.sigma if args.sigma else config.get("sigmas", DEFAULT_SIGMAS))
-    seeds = tuple(args.seed if args.seed else config.get("seeds", (1,)))
+    sigmas = tuple(args.sigma if args.sigma else config.get("sigmas", BenchmarkSpec.sigmas))
+    seeds = tuple(args.seed if args.seed else config.get("seeds", BenchmarkSpec.seeds))
     if args.methods:
         methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     else:
-        methods = tuple(config.get("methods", DEFAULT_METHODS))
-    compare_mode = args.compare or config.get("compare", "restored")
-    regions = args.regions if args.regions is not None else config.get("regions", 7)
-    stride = args.stride if args.stride is not None else config.get("stride", 4)
+        methods = tuple(config.get("methods", BenchmarkSpec.methods))
+    compare_mode = args.compare or config.get("compare", BenchmarkSpec.compare_mode)
+    regions = (args.regions if args.regions is not None
+               else config.get("regions", PipelineConfig.min_regions))
+    stride = (args.stride if args.stride is not None
+              else config.get("stride", PipelineConfig.training_stride))
     csv_path = args.csv or config.get("csv")
     out_dir = args.out_dir or config.get("out_dir")
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .image_core import round_half_up
+from .image_core import _array_fields_equal, round_half_up
 
 __all__ = [
     "FuzzyPartition",
@@ -173,6 +173,8 @@ class RuleCandidates:
         object.__setattr__(self, "antecedents", antecedents)
         object.__setattr__(self, "consequents", consequents)
         object.__setattr__(self, "degrees", degrees)
+
+    __eq__ = _array_fields_equal
 
     def __len__(self) -> int:
         return self.degrees.size

@@ -13,7 +13,7 @@ constant; changing it would invalidate every recorded benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -110,6 +110,13 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
+def _array_fields_equal(a, b) -> bool:
+    """``__eq__`` of a dataclass holding arrays: field by field, arrays by value."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
 @dataclass(frozen=True)
 class Histogram:
     """256-bin intensity census. ``sum(counts) == total`` always."""
@@ -127,6 +134,8 @@ class Histogram:
             raise ValueError("total does not match sum of counts")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+
+    __eq__ = _array_fields_equal
 
     def occupied_range(self) -> tuple[int, int]:
         """(lowest, highest) occupied bin; raises on an empty histogram."""
@@ -176,6 +185,8 @@ class RegionLabeling:
             raise ValueError(f"region ids never used: {missing}")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+
+    __eq__ = _array_fields_equal
 
 
 @dataclass(frozen=True)

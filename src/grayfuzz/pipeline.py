@@ -25,13 +25,7 @@ import numpy as np
 
 from .fuzzy import RuleBase, build_partition, combine, generate_rules
 from .image_core import GrayImage, histogram, round_half_up
-from .thresholding import (
-    BinaryMask,
-    ThresholdReport,
-    binarize,
-    fuse_decision_level,
-    threshold_report,
-)
+from .thresholding import ThresholdReport, threshold_report
 
 __all__ = [
     "PipelineConfig",
@@ -40,7 +34,6 @@ __all__ = [
     "apply_rulebase",
     "class_levels",
     "extract",
-    "two_level_image",
 ]
 
 
@@ -70,13 +63,13 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """``level`` is the majority split behind ``mask`` (background iff
-    value <= level); a degenerate input splits at its one value."""
+    """``level`` is the majority split, the two-class decision behind the
+    training targets (background iff value <= level); a degenerate input
+    splits at its one value.  Results compare by value."""
 
     extracted: GrayImage
     report: ThresholdReport
     rulebase: Optional[RuleBase]
-    mask: BinaryMask
     level: int
     no_rule_pixels: int
     degenerate: bool = False
@@ -117,15 +110,6 @@ def class_levels(counts: np.ndarray, level: int) -> Tuple[int, int]:
     return bg_level, fg_level
 
 
-def two_level_image(image: GrayImage, level: int) -> GrayImage:
-    """Replace each class of the split at ``level`` (background iff value
-    <= level) by its rounded mean intensity: the binarized-means
-    reconstruction behind the single-method benchmark rows."""
-    bg_level, fg_level = class_levels(np.bincount(image.pixels, minlength=256), level)
-    lut = np.where(np.arange(256) > level, fg_level, bg_level).astype(np.uint8)
-    return GrayImage(image.width, image.height, lut[image.pixels])
-
-
 def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
     """Restored level of each key (0 where no rule fires), and how many fire none.
 
@@ -137,9 +121,9 @@ def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
     the slice of keys whose value lies strictly inside its value region,
     where that region's membership is non-zero.
     """
-    table = np.zeros(256 * _SUM_LEVELS, dtype=np.int16)  # level per key, -1: no rule
-    table[keys] = 1
-    occupied = np.flatnonzero(table)
+    seen = np.zeros(256 * _SUM_LEVELS, dtype=bool)
+    seen[keys] = True
+    occupied = np.flatnonzero(seen)
     values, sums = np.divmod(occupied, _SUM_LEVELS)
     part_v, part_m = base.in_partitions
     lut_m = part_m.memberships(np.arange(_SUM_LEVELS) / float(WINDOW * WINDOW))
@@ -165,6 +149,7 @@ def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
     fired = mass > 0.0
     centroid = np.divide(numerator, mass, out=np.zeros_like(numerator), where=fired)
     levels = np.clip(round_half_up(centroid), 0, 255)
+    table = np.empty(256 * _SUM_LEVELS, dtype=np.int16)  # level per occupied key, -1: no rule
     table[occupied] = np.where(fired, levels, -1)
     restored = table[keys]
     return np.maximum(restored, 0).astype(np.uint8), int(np.count_nonzero(restored < 0))
@@ -196,13 +181,11 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
             extracted=noisy,
             report=report,
             rulebase=None,
-            mask=binarize(noisy, first),
             level=first,
             no_rule_pixels=0,
             degenerate=True,
         )
 
-    mask = fuse_decision_level(noisy, report)
     level = report.majority_level()
     anchors = [float(t) for t in report.converged_levels()]
     in_partition = build_partition(anchors, cfg.min_regions)
@@ -235,7 +218,6 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
         extracted=extracted,
         report=report,
         rulebase=base,
-        mask=mask,
         level=level,
         no_rule_pixels=no_rule,
         degenerate=False,

@@ -23,7 +23,7 @@ Method sources (standard published forms):
 - Moments: Tsai, CVGIP 29, 1985 (moment-preserving tile point).
 - Otsu: Otsu, IEEE Trans. SMC 9(1), 1979 (between-class variance).
 - Percentile: Doyle, JACM 9, 1962; level whose cumulative fraction is
-  closest to p (default p=0.5), lowest level on ties.
+  closest to one half, lowest level on ties.
 - RenyiEntropy: Sahoo et al. entropic criterion with Renyi order
   alpha=0.5 (single-order exhaustive form).
 - Shanbhag: Shanbhag, CVGIP 56(5), 1994.
@@ -44,19 +44,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .image_core import GrayImage, Histogram, round_half_up
+from .image_core import Histogram, round_half_up
 
 __all__ = [
     "ThresholdMethod",
     "ThresholdFailure",
     "ThresholdEntry",
     "ThresholdReport",
-    "BinaryMask",
     "compute_threshold",
     "threshold_report",
     "fuse_feature_level",
-    "fuse_decision_level",
-    "binarize",
     "METHOD_ORDER",
 ]
 
@@ -126,8 +123,14 @@ class ThresholdReport:
         return [self.entries[m].level for m in self.converged()]
 
     def majority_level(self) -> int:
-        """The converged level of rank ``n // 2`` in sorted order: the split
-        of the per-pixel majority vote (see ``fuse_decision_level``)."""
+        """Decision-level fusion: the split of the per-pixel majority vote of
+        the converged methods.
+
+        Foreground needs strictly more than half the votes; exact ties are
+        background.  Each vote is ``value > level``, so the vote count rises
+        with the value, and the majority is the single split at the converged
+        level of rank ``n // 2`` in sorted order.
+        """
         levels = self.converged_levels()
         if not levels:
             raise ValueError("no converged thresholds to fuse")
@@ -146,25 +149,6 @@ class ThresholdReport:
             method.value: {"level": entry.level, "status": entry.status}
             for method, entry in ((m, self.entries[m]) for m in METHOD_ORDER)
         }
-
-
-@dataclass(frozen=True)
-class BinaryMask:
-    """Foreground/background flags matching an image's dimensions."""
-
-    width: int
-    height: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool).reshape(-1)
-        if bits.size != self.width * self.height:
-            raise ValueError("mask size does not match dimensions")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    def to_array(self) -> np.ndarray:
-        return self.bits.reshape(self.height, self.width)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +225,9 @@ def _threshold_mean(stats: _Stats) -> int:
     return int(int(stats.cum_s[-1]) // stats.total)
 
 
-def _threshold_percentile(stats: _Stats, fraction: float) -> int:
+def _threshold_percentile(stats: _Stats) -> int:
     candidates = np.arange(stats.first, stats.last + 1, dtype=np.int64)
-    return _lowest_argmin(np.abs(stats.cum_w[candidates] / stats.total - fraction), candidates)
+    return _lowest_argmin(np.abs(stats.cum_w[candidates] / stats.total - 0.5), candidates)
 
 
 def _threshold_default(stats: _Stats) -> int:
@@ -416,7 +400,6 @@ def _threshold_yen(stats: _Stats) -> int:
     return _lowest_argmin(-crit, stats.t)
 
 
-# Every method but Percentile, which also takes its target fraction.
 _METHODS = {
     ThresholdMethod.DEFAULT: _threshold_default,
     ThresholdMethod.HUANG: _threshold_huang,
@@ -428,6 +411,7 @@ _METHODS = {
     ThresholdMethod.MINIMUM: _threshold_minimum,
     ThresholdMethod.MOMENTS: _threshold_moments,
     ThresholdMethod.OTSU: _threshold_otsu,
+    ThresholdMethod.PERCENTILE: _threshold_percentile,
     ThresholdMethod.RENYI_ENTROPY: _threshold_renyi,
     ThresholdMethod.SHANBHAG: _threshold_shanbhag,
     ThresholdMethod.TRIANGLE: _threshold_triangle,
@@ -439,11 +423,7 @@ _METHODS = {
 # Public operations
 # ---------------------------------------------------------------------------
 
-def compute_threshold(
-    method: ThresholdMethod,
-    hist: Histogram,
-    percentile_fraction: float = 0.5,
-) -> int:
+def compute_threshold(method: ThresholdMethod, hist: Histogram) -> int:
     """Level for one method; raises ThresholdFailure when it cannot converge.
 
     Deterministic: ties between equally good levels go to the lowest one.
@@ -454,17 +434,15 @@ def compute_threshold(
     stats = _Stats(np.asarray(hist.counts))
     if method not in _TOTAL_METHODS:
         _require_spread(stats, method)
-    if method is ThresholdMethod.PERCENTILE:
-        return _threshold_percentile(stats, percentile_fraction)
     return _METHODS[method](stats)
 
 
-def threshold_report(hist: Histogram, percentile_fraction: float = 0.5) -> ThresholdReport:
+def threshold_report(hist: Histogram) -> ThresholdReport:
     """Run all fifteen methods; per-method failures land in the status column."""
     entries = {}
     for method in METHOD_ORDER:
         try:
-            level = compute_threshold(method, hist, percentile_fraction)
+            level = compute_threshold(method, hist)
             entries[method] = ThresholdEntry(level=level, status="converged")
         except ThresholdFailure:
             entries[method] = ThresholdEntry(level=None, status="failed")
@@ -472,28 +450,9 @@ def threshold_report(hist: Histogram, percentile_fraction: float = 0.5) -> Thres
 
 
 def fuse_feature_level(report: ThresholdReport) -> int:
-    """Feature-level fusion: round-half-up mean of the converged levels."""
+    """Feature-level fusion: round-half-up mean of the converged levels (not
+    used by ``extract``, which trains on the majority split)."""
     levels = report.converged_levels()
     if not levels:
         raise ValueError("no converged thresholds to fuse")
     return int(round_half_up(sum(levels) / len(levels)))
-
-
-def fuse_decision_level(image: GrayImage, report: ThresholdReport) -> BinaryMask:
-    """Decision-level fusion: per-pixel majority vote of the converged methods.
-
-    Foreground needs strictly more than half the votes; exact ties are
-    background.  Each vote is ``value > level``, so the vote count rises with
-    the value, and the majority is the single split at
-    ``report.majority_level()``.
-    """
-    return binarize(image, report.majority_level())
-
-
-def binarize(image: GrayImage, level: int) -> BinaryMask:
-    """Single-level split: foreground iff value > level."""
-    if not 0 <= level <= 255:
-        raise ValueError(f"level {level} outside [0, 255]")
-    return BinaryMask(
-        width=image.width, height=image.height, bits=image.pixels > level
-    )

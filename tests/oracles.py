@@ -1,6 +1,6 @@
 """Independent brute-force references for the threshold criteria, the
 rule-learning procedure, window sums, per-pixel inference, majority
-fusion and the image-quality metrics.
+fusion, the two-level reading and the image-quality metrics.
 
 Every threshold oracle sweeps all candidate levels and evaluates the
 method's published criterion directly on freshly-summed histogram slices,
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from grayfuzz.fuzzy import RuleBase
-from grayfuzz.image_core import round_half_up
+from grayfuzz.image_core import GrayImage, round_half_up
 from grayfuzz.metrics import PSNR_PEAK, MetricsRecord
 
 LEVELS = 256
@@ -309,7 +309,7 @@ def oracle_minimum(counts, cap=10_000):
     return best_t
 
 
-def oracle_percentile(counts, fraction=0.5):
+def oracle_percentile(counts):
     counts = [int(c) for c in counts]
     total = sum(counts)
     first, last = _occupied(counts)
@@ -319,7 +319,7 @@ def oracle_percentile(counts, fraction=0.5):
         running += counts[t]
         if t < first:
             continue
-        dist = abs(running / total - fraction)
+        dist = abs(running / total - 0.5)
         if dist < best:
             best, best_t = dist, t
     return best_t
@@ -549,6 +549,20 @@ def majority_vote(pixels, levels):
     for level in levels:
         votes += np.asarray(pixels) > level
     return votes * 2 > len(levels)
+
+
+def two_level_image(image, level):
+    """Binarized-means reading, pixel by pixel: each class of the split at
+    ``level`` (background iff value <= level) becomes its mean intensity,
+    summed from the pixels and rounded half-up; an empty class borrows the
+    other's mean."""
+    pixels = image.pixels.tolist()
+    classes = {fg: [p for p in pixels if (p > level) == fg] for fg in (False, True)}
+    means = {fg: sum(c) / len(c) for fg, c in classes.items() if c}
+    levels = {
+        fg: int(round_half_up(means.get(fg, means.get(not fg)))) for fg in (False, True)
+    }
+    return GrayImage(image.width, image.height, [levels[p > level] for p in pixels])
 
 
 # ---------------------------------------------------------------------------

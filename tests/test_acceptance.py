@@ -27,7 +27,6 @@ from grayfuzz.thresholding import (
     ThresholdFailure,
     ThresholdMethod,
     compute_threshold,
-    fuse_decision_level,
     threshold_report,
 )
 
@@ -222,8 +221,8 @@ def test_criterion_8_benchmark_determinism(phantom_path):
 
 def test_criterion_9_partition_validity(two_level_image_40_210):
     report = threshold_report(histogram(two_level_image_40_210))
-    mask = fuse_decision_level(two_level_image_40_210, report)
-    labeling = RegionLabeling(labels=mask.bits.astype(np.int64), region_count=2)
+    foreground = two_level_image_40_210.pixels > report.majority_level()
+    labeling = RegionLabeling(labels=foreground.astype(np.int64), region_count=2)
     verdict = validate_partition(two_level_image_40_210, labeling, range_predicate(5))
     ok = (
         verdict.union_ok
@@ -231,5 +230,5 @@ def test_criterion_9_partition_validity(two_level_image_40_210):
         and verdict.homogeneous_ok
         and verdict.adjacent_merge_fails
     )
-    _verdict(9, ok, "majority-fusion mask of the two-level phantom satisfies all four "
+    _verdict(9, ok, "majority split of the two-level phantom satisfies all four "
                     "partition checks (range tolerance 5)")

@@ -24,6 +24,20 @@ from grayfuzz import cli
 from grayfuzz.pipeline import PipelineConfig
 
 
+def test_every_export_resolves():
+    # the perfbench tracer looks up every name in each module's __all__ at start-up
+    import grayfuzz
+
+    modules = ("image_core", "thresholding", "fuzzy", "pipeline", "metrics", "cli")
+    exported = set()
+    for short in modules:
+        module = getattr(grayfuzz, short)
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], short
+        exported.update(module.__all__)
+    bound = {n for n in vars(grayfuzz) if not n.startswith("_")} - set(modules)
+    assert sorted(bound - exported) == []
+
+
 @pytest.fixture()
 def small_pgm(tmp_path):
     path = tmp_path / "input.pgm"

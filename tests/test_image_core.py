@@ -20,6 +20,7 @@ from grayfuzz.image_core import (
     two_level_phantom,
     validate_partition,
 )
+from grayfuzz.fuzzy import RuleCandidates
 
 
 def random_image(rng, max_side=32):
@@ -95,6 +96,25 @@ class TestGrayImage:
             img.width = 2
         with pytest.raises(ValueError):
             img.pixels[0] = 1
+
+
+@pytest.mark.parametrize(
+    "cls, fields, changed",
+    [
+        (Histogram, {"counts": list(range(256)), "total": 32640},
+         {"counts": list(range(255, -1, -1)), "total": 32640}),
+        (RegionLabeling, {"labels": [0, 1, 1], "region_count": 2},
+         {"labels": [1, 0, 0], "region_count": 2}),
+        (RuleCandidates, {"antecedents": [[0, 1]], "consequents": [2], "degrees": [0.5]},
+         {"antecedents": [[0, 1]], "consequents": [2], "degrees": [0.25]}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+)
+def test_array_values_compare_by_value(cls, fields, changed):
+    a, b = cls(**fields), cls(**fields)
+    assert a == b and not a != b
+    assert a != cls(**changed) and not a == cls(**changed)
+    assert a != object()
 
 
 class TestHistogram:

@@ -5,7 +5,7 @@ import pytest
 
 from grayfuzz.image_core import GrayImage
 from grayfuzz.metrics import MetricsRecord, SplitCensus, compare, format_metric
-from grayfuzz.pipeline import class_levels, two_level_image
+from grayfuzz.pipeline import class_levels
 
 import oracles
 
@@ -107,7 +107,7 @@ class TestCensus:
             assert np.array_equal(census.source_counts, counts)
             for level in range(256):
                 low, high = class_levels(counts, level)
-                expected = compare(two_level_image(noisy, level), clean)
+                expected = compare(oracles.two_level_image(noisy, level), clean)
                 assert census.score(level, low, high) == expected
 
     @pytest.mark.parametrize("reading", [(-1, 0, 0), (0, 256, 0), (0, 0, 2.5), (300, 1, 1)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from grayfuzz.pipeline import (
     WINDOW,
     PipelineConfig,
     _pixel_keys,
+    class_levels,
     extract,
-    two_level_image,
 )
 
 import oracles
@@ -90,7 +91,7 @@ class TestRuleLearning:
             levels = result.report.converged_levels()
             pixels = noisy.pixels.tolist()
             fg = oracles.majority_vote(pixels, levels).tolist()
-            assert result.mask.bits.tolist() == fg
+            assert (noisy.pixels > result.level).tolist() == fg
             classes = {
                 flag: [p for p, f in zip(pixels, fg) if f == flag] for flag in (False, True)
             }
@@ -127,7 +128,7 @@ class TestExtract:
         assert result.degenerate
         assert result.extracted == img
         assert result.rulebase is None
-        assert not result.mask.bits.any()
+        assert result.level == 128
 
     def test_deterministic(self):
         noisy = add_gaussian_noise(bimodal_phantom(48, 48), NoiseSpec(sigma=30.0, seed=5))
@@ -136,6 +137,8 @@ class TestExtract:
         assert a.extracted == b.extracted
         assert a.rulebase.rules == b.rulebase.rules
         assert a.no_rule_pixels == b.no_rule_pixels
+        assert a == b
+        assert a != dataclasses.replace(a, level=a.level + 1)
 
     def test_output_in_range_and_shape(self):
         rng = np.random.default_rng(9)
@@ -192,15 +195,30 @@ class TestFuzzifyImage:
 
 
 class TestTwoLevelImage:
+    @staticmethod
+    def _levels(pixels, level):
+        counts = np.bincount(np.asarray(pixels, dtype=np.uint8), minlength=256)
+        return class_levels(counts, level)
+
     def test_class_means_rounded(self):
         img = GrayImage(4, 1, [10, 20, 200, 210])
-        recon = two_level_image(img, 100)
-        assert recon.pixels.tolist() == [15, 15, 205, 205]
+        assert self._levels(img.pixels, 100) == (15, 205)
+        assert oracles.two_level_image(img, 100).pixels.tolist() == [15, 15, 205, 205]
 
     def test_empty_class_borrows_other(self):
         img = GrayImage(2, 1, [10, 20])
-        recon = two_level_image(img, 100)  # no foreground
-        assert recon.pixels.tolist() == [15, 15]
+        assert self._levels(img.pixels, 100) == (15, 15)  # no foreground
+        assert oracles.two_level_image(img, 100).pixels.tolist() == [15, 15]
+
+    def test_split_edges(self):
+        # background iff value <= level: at 255 nothing is foreground, at 0
+        # only zeros are background
+        pixels = [0, 1, 255]
+        assert self._levels(pixels, 255) == (85, 85)
+        assert self._levels(pixels, 0) == (0, 128)
+        img = GrayImage(3, 1, pixels)
+        assert oracles.two_level_image(img, 255).pixels.tolist() == [85, 85, 85]
+        assert oracles.two_level_image(img, 0).pixels.tolist() == [0, 128, 128]
 
 
 class TestTotality:

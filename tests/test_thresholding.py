@@ -6,9 +6,7 @@ from grayfuzz.thresholding import (
     METHOD_ORDER,
     ThresholdFailure,
     ThresholdMethod,
-    binarize,
     compute_threshold,
-    fuse_decision_level,
     fuse_feature_level,
     threshold_report,
 )
@@ -218,21 +216,9 @@ class TestFusion:
         levels = list(range(10, 25))
         report = self._report_with_levels(levels)
         img = GrayImage(3, 1, [5, 18, 200])  # below all; above exactly 8; above all
-        mask = fuse_decision_level(img, report)
-        assert mask.bits.tolist() == [False, True, True]
+        assert (img.pixels > report.majority_level()).tolist() == [False, True, True]
         img2 = GrayImage(1, 1, [17])  # above exactly 7 of 15 -> background
-        assert fuse_decision_level(img2, report).bits.tolist() == [False]
-
-    def test_majority_matches_single_binarize(self):
-        report = self._report_with_levels([140])
-        img = GrayImage(4, 1, [0, 140, 141, 255])
-        fused = fuse_decision_level(img, report)
-        assert fused.bits.tolist() == binarize(img, 140).bits.tolist()
-
-    def test_binarize_edges(self):
-        img = GrayImage(3, 1, [0, 1, 255])
-        assert binarize(img, 255).bits.tolist() == [False, False, False]
-        assert binarize(img, 0).bits.tolist() == [False, True, True]
+        assert (img2.pixels > report.majority_level()).tolist() == [False]
 
     @pytest.mark.parametrize(
         "level, status",
@@ -254,13 +240,3 @@ class TestFusion:
         with pytest.raises(ValueError):
             ThresholdEntry(level=level, status=status)
 
-
-class TestPercentileFraction:
-    def test_configurable_fraction(self):
-        hist = hist_from_counts({10: 100, 20: 300})
-        # cumulative fractions: 0.25 at 10, 1.0 at 20
-        assert compute_threshold(ThresholdMethod.PERCENTILE, hist,
-                                 percentile_fraction=0.25) == 10
-        assert compute_threshold(ThresholdMethod.PERCENTILE, hist,
-                                 percentile_fraction=0.9) == 20
-        assert oracles.oracle_percentile(hist.counts, fraction=0.9) == 20
