@@ -124,6 +124,7 @@ def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
     seen = np.zeros(256 * _SUM_LEVELS, dtype=bool)
     seen[keys] = True
     occupied = np.flatnonzero(seen)
+    del seen  # freed before the level table below, so the two never coexist
     values, sums = np.divmod(occupied, _SUM_LEVELS)
     part_v, part_m = base.in_partitions
     lut_m = part_m.memberships(np.arange(_SUM_LEVELS) / float(WINDOW * WINDOW))
