@@ -108,7 +108,7 @@ class TestGrayImage:
         (RuleCandidates, {"antecedents": [[0, 1]], "consequents": [2], "degrees": [0.5]},
          {"antecedents": [[0, 1]], "consequents": [2], "degrees": [0.25]}),
     ],
-    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+    ids=["Histogram", "RegionLabeling", "RuleCandidates"],
 )
 def test_array_values_compare_by_value(cls, fields, changed):
     a, b = cls(**fields), cls(**fields)
