@@ -9,10 +9,11 @@ single-method row scores its binarized-two-means reconstruction of the noisy
 image against the clean original, the "Proposed method" row scores the
 pipeline output (``--compare restored``, default) or the two-means reading
 of its majority split level (``--compare binarized-means``).  A two-means
-reading is scored from one joint (noisy, clean) census per sample, without
-building the image; the restored image goes through ``compare``.  Both give
-the same record for the same image.  Cells average over images and seeds,
-carry four decimals, and use "inf" / "n/a" sentinels.
+reading is scored by ``SplitCensus(noisy, clean).score(level)``, from one
+joint census per sample, without building the image; the restored image
+goes through ``compare``.  Both give the same record for the same image.
+Cells average over images and seeds, carry four decimals, and use "inf" /
+"n/a" sentinels.
 
 Exit codes: 0 success, 1 usage error (all arguments are checked before a run
 starts), 2 I/O error, 3 degenerate input escalated by --strict, 4 internal
@@ -36,8 +37,8 @@ from .image_core import (
     load_image,
     save_pgm,
 )
-from .metrics import MetricsRecord, SplitCensus, compare, format_metric
-from .pipeline import PipelineConfig, class_levels, extract
+from .metrics import SplitCensus, compare, format_metric
+from .pipeline import PipelineConfig, extract
 from .thresholding import METHOD_ORDER, threshold_report
 
 __all__ = [
@@ -111,11 +112,6 @@ def _row_labels(spec: BenchmarkSpec) -> List[str]:
     return labels
 
 
-def _two_means_record(census: SplitCensus, level: int) -> MetricsRecord:
-    """Record of the two-means reading of the noisy image split at ``level``."""
-    return census.score(level, *class_levels(census.source_counts, level))
-
-
 def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -> BenchmarkResult:
     """Build the Table-style CSV matrix (rows = methods, columns = sigmas).
 
@@ -144,14 +140,12 @@ def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -
                 for method in single_methods:
                     entry = report.entries[method]
                     if entry.status == "converged":
-                        scores[(method.value, sigma)].append(
-                            _two_means_record(census, entry.level).psnr_db
-                        )
+                        scores[(method.value, sigma)].append(census.score(entry.level).psnr_db)
                 if result is not None:
                     if result.degenerate:
                         degenerate_runs += 1
                     if spec.compare_mode == "binarized-means":
-                        psnr = _two_means_record(census, result.level).psnr_db
+                        psnr = census.score(result.level).psnr_db
                     else:
                         psnr = compare(result.extracted, clean).psnr_db
                     scores[(PROPOSED_ROW, sigma)].append(psnr)
@@ -192,7 +186,7 @@ def run_single(
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma=sigma, seed=seed))
     result = extract(noisy, cfg)
     if compare_mode == "binarized-means":
-        scored = _two_means_record(SplitCensus(noisy, clean), result.level)
+        scored = SplitCensus(noisy, clean).score(result.level)
     else:
         scored = compare(result.extracted, clean)
 

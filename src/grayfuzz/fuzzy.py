@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .image_core import _array_fields_equal, round_half_up
+from .image_core import _array_fields_equal, _is_int, round_half_up
 
 __all__ = [
     "FuzzyPartition",
@@ -92,10 +92,13 @@ class FuzzyPartition:
         i, lower, upper = self._bracket(x)
         return np.where(upper > lower, i + 1, i), np.maximum(lower, upper)
 
+    def _check_region(self, region_index) -> None:
+        if not (_is_int(region_index) and 0 <= region_index < self.region_count):
+            raise IndexError(f"region {region_index!r} is not an index in [0, {self.region_count})")
+
     def evaluate(self, region_index: int, x) -> np.ndarray:
         """Membership of x (scalar or array, within [0, 255]) in one region."""
-        if not 0 <= region_index < self.region_count:
-            raise IndexError(f"region {region_index} out of range")
+        self._check_region(region_index)
         return self._grade(region_index, x)
 
     def memberships(self, x) -> np.ndarray:
@@ -106,10 +109,8 @@ class FuzzyPartition:
 
     def spike_level(self, region_index: int) -> int:
         """Discretized prototype of a region: its peak as an intensity level."""
-        if not 0 <= region_index < self.region_count:
-            raise IndexError(f"region {region_index} out of range")
-        level = int(round_half_up(self.peaks[region_index]))
-        return min(max(level, 0), 255)
+        self._check_region(region_index)
+        return int(round_half_up(self.peaks[region_index]))
 
     def to_json_dict(self) -> dict:
         return {"peaks": list(self.peaks)}
@@ -141,8 +142,8 @@ def build_partition(anchors: Sequence[float], min_regions: int = 2) -> FuzzyPart
         raise ValueError("need at least one anchor")
     if any(a < 0 or a > DOMAIN_MAX for a in anchors):
         raise ValueError("anchors must lie in [0, 255]")
-    if min_regions < 2:
-        raise ValueError("min_regions must be at least 2")
+    if not _is_int(min_regions) or min_regions < 2:
+        raise ValueError(f"min_regions {min_regions!r} is not an integer of at least 2")
     centers = [c for c in _cluster_anchors(anchors) if 0.0 < c < DOMAIN_MAX]
     peaks = [0.0] + centers + [DOMAIN_MAX]
     while len(peaks) < min_regions:

@@ -13,7 +13,7 @@ constant; changing it would invalidate every recorded benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -53,6 +53,19 @@ def round_half_up(x):
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass; a float such as 2.5 must not be truncated
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _array_fields_equal(a, b) -> bool:
+    """``__eq__`` of a dataclass holding arrays: field by field, arrays by value."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+@dataclass(frozen=True, slots=True)
 class GrayImage:
     """Immutable 8-bit single-channel raster.
 
@@ -60,15 +73,17 @@ class GrayImage:
     ``width * height``.
     """
 
-    __slots__ = ("width", "height", "pixels")
+    width: int
+    height: int
+    pixels: np.ndarray
 
-    def __init__(self, width: int, height: int, pixels):
-        if width <= 0 or height <= 0:
-            raise ValueError(f"dimensions must be positive, got {width}x{height}")
-        arr = np.asarray(pixels)
-        if arr.size != width * height:
+    def __post_init__(self):
+        if not all(_is_int(n) and n > 0 for n in (self.width, self.height)):
+            raise ValueError(f"dimensions {self.width!r}x{self.height!r} are not positive integers")
+        arr = np.asarray(self.pixels)
+        if arr.size != self.width * self.height:
             raise ValueError(
-                f"pixel count {arr.size} does not match {width}x{height}"
+                f"pixel count {arr.size} does not match {self.width}x{self.height}"
             )
         if arr.dtype != np.uint8:
             # NaN fails this test too, as NaN != NaN
@@ -79,12 +94,9 @@ class GrayImage:
             arr = arr.astype(np.uint8)
         arr = arr.reshape(-1).copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
         object.__setattr__(self, "pixels", arr)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GrayImage is immutable")
+    __eq__ = _array_fields_equal
 
     @classmethod
     def from_array(cls, array2d) -> "GrayImage":
@@ -97,32 +109,22 @@ class GrayImage:
         """Return the raster as a read-only (height, width) view."""
         return self.pixels.reshape(self.height, self.width)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrayImage):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.pixels, other.pixels)
-        )
-
     def __repr__(self) -> str:
         return f"GrayImage({self.width}x{self.height})"
 
 
-def _array_fields_equal(a, b) -> bool:
-    """``__eq__`` of a dataclass holding arrays: field by field, arrays by value."""
-    if type(b) is not type(a):
-        return NotImplemented
-    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-
-
 @dataclass(frozen=True)
 class Histogram:
-    """256-bin intensity census. ``sum(counts) == total`` always."""
+    """256-bin intensity census. ``sum(counts) == total`` always.
+
+    At bin ``v``, ``cum_counts``, ``cum_sums`` and ``cum_squares`` are the
+    exact count, sum and squared sum of the values ``<= v``."""
 
     counts: np.ndarray
     total: int
+    cum_counts: np.ndarray = field(init=False, repr=False)
+    cum_sums: np.ndarray = field(init=False, repr=False)
+    cum_squares: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -130,10 +132,17 @@ class Histogram:
             raise ValueError("histogram needs exactly 256 bins")
         if counts.min() < 0:
             raise ValueError("bin counts must be non-negative")
-        if int(counts.sum()) != self.total:
-            raise ValueError("total does not match sum of counts")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        if not _is_int(self.total) or int(counts.sum()) != self.total:
+            raise ValueError(f"total {self.total!r} is not the integer sum of the counts")
+        levels = np.arange(LEVELS, dtype=np.int64)
+        for name, values in (
+            ("counts", counts),
+            ("cum_counts", np.cumsum(counts)),
+            ("cum_sums", np.cumsum(levels * counts)),
+            ("cum_squares", np.cumsum(levels * levels * counts)),
+        ):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     __eq__ = _array_fields_equal
 
@@ -143,6 +152,20 @@ class Histogram:
         if nz.size == 0:
             raise ValueError("empty histogram has no occupied bins")
         return int(nz[0]), int(nz[-1])
+
+    def class_means(self, level: int) -> tuple[float, float]:
+        """(background, foreground) mean intensity of the split at ``level``
+        (background iff value <= level), from exact integer sums; an empty
+        class takes the other class's mean."""
+        if not (_is_int(level) and 0 <= level < LEVELS):
+            raise ValueError(f"level {level!r} is not an integer in [0, 255]")
+        if not self.total:
+            raise ValueError("empty histogram has no class means")
+        bg_count, bg_sum = int(self.cum_counts[level]), int(self.cum_sums[level])
+        fg_count, fg_sum = int(self.cum_counts[-1]) - bg_count, int(self.cum_sums[-1]) - bg_sum
+        bg_mean = bg_sum / bg_count if bg_count else fg_sum / fg_count
+        fg_mean = fg_sum / fg_count if fg_count else bg_mean
+        return bg_mean, fg_mean
 
 
 @dataclass(frozen=True)
@@ -156,8 +179,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.sigma < float("inf"):  # NaN fails both comparisons
             raise ValueError(f"sigma {self.sigma!r} is not a finite non-negative number")
-        # bool is an int subclass; a float seed must not be truncated
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+        if not _is_int(self.seed):
             raise ValueError(f"seed {self.seed!r} is not an integer")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -173,8 +195,8 @@ class RegionLabeling:
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        if self.region_count < 1:
-            raise ValueError("need at least one region")
+        if not _is_int(self.region_count) or self.region_count < 1:
+            raise ValueError(f"region_count {self.region_count!r} is not a positive integer")
         if labels.size == 0:
             raise ValueError("empty labeling")
         if labels.min() < 0 or labels.max() >= self.region_count:

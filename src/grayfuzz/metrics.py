@@ -1,9 +1,9 @@
 """Objective image-quality criteria: MAE, MSE, SNR and PSNR.
 
 Every record is reduced from two exact integer censuses: a 511-bin
-histogram of the pixel differences ``test - reference`` and a 256-bin
-histogram of the reference.  Sums are taken in 64-bit integers before the
-single final division, so results are platform-identical.  A zero-error
+histogram of the pixel differences ``test - reference`` and the
+``Histogram`` of the reference.  Sums are taken in 64-bit integers before
+the single final division, so results are platform-identical.  A zero-error
 pair reports infinite SNR/PSNR, serialized as the sentinel string "inf"
 (never a crash).  All serialized floats carry four decimal places.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import GrayImage
+from .image_core import GrayImage, Histogram, histogram, round_half_up
 
 __all__ = ["MetricsRecord", "SplitCensus", "compare", "format_metric", "PSNR_PEAK"]
 
@@ -53,18 +53,17 @@ class MetricsRecord:
         }
 
 
-def _record(diff_counts: np.ndarray, ref_counts: np.ndarray) -> MetricsRecord:
+def _record(diff_counts: np.ndarray, reference: Histogram) -> MetricsRecord:
     """The record of a census pair: ``diff_counts[d + 255]`` pixels differ
-    from the reference by ``d``, and ``ref_counts[v]`` reference pixels have
-    value ``v``.  mae = mean |t-r|, mse = mean (t-r)^2, psnr = 10
+    from the reference by ``d``, and ``reference`` is the reference's
+    census.  mae = mean |t-r|, mse = mean (t-r)^2, psnr = 10
     log10(255^2/mse), snr = 10 log10(sum r^2 / sum (t-r)^2).  Zero mse
     yields the infinite sentinel for both ratios."""
     diffs = np.arange(-255, 256, dtype=np.int64)
-    values = np.arange(256, dtype=np.int64)
-    n = int(diff_counts.sum())
+    n = reference.total
     abs_sum = int((np.abs(diffs) * diff_counts).sum())
     sq_sum = int((diffs * diffs * diff_counts).sum())
-    ref_sq_sum = int((values * values * ref_counts).sum())
+    ref_sq_sum = int(reference.cum_squares[-1])
 
     mae = abs_sum / n
     mse = sq_sum / n
@@ -90,20 +89,18 @@ def compare(test: GrayImage, reference: GrayImage) -> MetricsRecord:
     """Pixelwise error statistics of ``test`` against ``reference``."""
     _check_dimensions(test, reference)
     diff = np.subtract(test.pixels, reference.pixels, dtype=np.int16)
-    return _record(
-        np.bincount(diff + 255, minlength=511),
-        np.bincount(reference.pixels, minlength=256),
-    )
+    return _record(np.bincount(diff + 255, minlength=511), histogram(reference))
 
 
 class SplitCensus:
-    """Scores every two-level reading of ``source`` against ``reference``
+    """Scores every two-means reading of ``source`` against ``reference``
     from one joint census of their pixel pairs, without building an image.
 
-    A reading at ``(level, low, high)`` replaces each source value <= level
-    by ``low`` and each one above by ``high``; ``score`` returns the record
-    ``compare`` gives that image.  ``source_counts`` is the source's
-    256-bin histogram.
+    The reading at ``level`` replaces each source value <= level by the
+    background level and each one above by the foreground level: the two
+    class means of ``source.class_means(level)``, rounded half-up.
+    ``score`` returns the record ``compare`` gives that image.  ``source``
+    and ``reference`` are the two images' histograms.
     """
 
     def __init__(self, source: GrayImage, reference: GrayImage):
@@ -111,17 +108,16 @@ class SplitCensus:
         joint = np.bincount(
             source.pixels.astype(np.int32) * 256 + reference.pixels, minlength=256 * 256
         ).reshape(256, 256)
-        self.source_counts = joint.sum(axis=1)
         # row v: reference histogram of the pixels whose source value is <= v
         self._at_or_below = np.cumsum(joint, axis=0)
+        self.source = Histogram(joint.sum(axis=1), source.pixels.size)
+        self.reference = Histogram(self._at_or_below[-1], source.pixels.size)
 
-    def score(self, level: int, low: int, high: int) -> MetricsRecord:
-        if not all(isinstance(v, (int, np.integer)) and 0 <= v <= 255 for v in (level, low, high)):
-            raise ValueError(f"reading {(level, low, high)!r} is not three integers in [0, 255]")
-        reference = self._at_or_below[-1]
+    def score(self, level: int) -> MetricsRecord:
+        low, high = round_half_up(self.source.class_means(level)).tolist()
         background = self._at_or_below[level]
         # a class at level L against reference value r lands in bin L - r + 255
         diff_counts = np.zeros(511, dtype=np.int64)
         diff_counts[low:low + 256] += background[::-1]
-        diff_counts[high:high + 256] += (reference - background)[::-1]
-        return _record(diff_counts, reference)
+        diff_counts[high:high + 256] += (self.reference.counts - background)[::-1]
+        return _record(diff_counts, self.reference)

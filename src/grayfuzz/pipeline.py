@@ -7,10 +7,11 @@ clamp-padded square neighbourhood, both exact in one integer key,
 ``value * 2296 + window_sum``; (3) an anchor partition built from the
 converged thresholds covers both input variables; (4) the distinct keys of
 a 1-in-``training_stride`` staggered pixel lattice map those attributes to
-the mean intensity of the pixel's majority-vote class, so learning needs no
-clean reference; (5) ``apply_rulebase`` then restores every pixel through
-min/max inference and centroid decoding, rounded half-up and clamped, once
-per distinct key.  A pixel whose attributes fire no rule is restored to 0.
+the mean intensity of the pixel's majority-vote class, read from
+``Histogram.class_means`` at the majority level, so learning needs no clean
+reference; (5) ``apply_rulebase`` then restores every pixel through
+min/max inference and centroid decoding, rounded half-up, once per
+distinct key.  A pixel whose attributes fire no rule is restored to 0.
 
 The whole path is deterministic: a fixed (image, config) always produces a
 bit-identical result.
@@ -24,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .fuzzy import RuleBase, build_partition, combine, generate_rules
-from .image_core import GrayImage, histogram, round_half_up
+from .image_core import GrayImage, _is_int, histogram, round_half_up
 from .thresholding import ThresholdReport, threshold_report
 
 __all__ = [
@@ -32,18 +33,12 @@ __all__ = [
     "ExtractionResult",
     "WINDOW",
     "apply_rulebase",
-    "class_levels",
     "extract",
 ]
 
 
 WINDOW = 3  # side of the square neighbourhood behind each pixel's mean attribute
 _SUM_LEVELS = 255 * WINDOW * WINDOW + 1  # window sums run over 0..2295
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass; a float such as 2.5 must not be truncated
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -90,26 +85,6 @@ def _pixel_keys(image: GrayImage) -> np.ndarray:
     return image.pixels.astype(np.int32) * _SUM_LEVELS + _window_sums(image).reshape(-1)
 
 
-def _split_means(counts: np.ndarray, level: int) -> Tuple[float, float]:
-    """(background mean, foreground mean) of a 256-bin census split at
-    ``level``, from exact integer sums; an empty class borrows the other's."""
-    weighted = np.arange(256, dtype=np.int64) * counts
-    bg_count, fg_count = int(counts[: level + 1].sum()), int(counts[level + 1:].sum())
-    bg_mean = int(weighted[: level + 1].sum()) / bg_count if bg_count else None
-    fg_mean = int(weighted[level + 1:].sum()) / fg_count if fg_count else None
-    return (fg_mean if bg_mean is None else bg_mean), (bg_mean if fg_mean is None else fg_mean)
-
-
-def class_levels(counts: np.ndarray, level: int) -> Tuple[int, int]:
-    """(background, foreground) level of the two-means reading of a 256-bin
-    census split at ``level`` (background iff value <= level): each class's
-    mean intensity, rounded half-up."""
-    if not (_is_int(level) and 0 <= level <= 255):
-        raise ValueError(f"level {level!r} is not an integer in [0, 255]")
-    bg_level, fg_level = round_half_up(_split_means(counts, level)).tolist()
-    return bg_level, fg_level
-
-
 def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
     """Restored level of each key (0 where no rule fires), and how many fire none.
 
@@ -119,7 +94,8 @@ def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
     per input, over the 256 values and the _SUM_LEVELS window sums.  The
     occupied keys ascend, so their values do too, and a rule fires only on
     the slice of keys whose value lies strictly inside its value region,
-    where that region's membership is non-zero.
+    where that region's membership is non-zero.  Spike levels are taken in
+    ascending order, one height array at a time.
     """
     seen = np.zeros(256 * _SUM_LEVELS, dtype=bool)
     seen[keys] = True
@@ -127,29 +103,29 @@ def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
     del seen  # freed before the level table below, so the two never coexist
     values, sums = np.divmod(occupied, _SUM_LEVELS)
     part_v, part_m = base.in_partitions
+    lut_v = part_v.memberships(np.arange(256))
     lut_m = part_m.memberships(np.arange(_SUM_LEVELS) / float(WINDOW * WINDOW))
-    grades_v = np.take(part_v.memberships(np.arange(256)), values, axis=1)
-    grades_m = np.take(lut_m, sums, axis=1)
     # value region a is non-zero strictly between peaks[a] and peaks[a + 2]
     peaks = (-1.0,) + part_v.peaks + (256.0,)
     above, below = np.searchsorted(values, peaks, side="right"), np.searchsorted(values, peaks)
 
-    heights: dict[int, np.ndarray] = {}
+    by_level: dict[int, list] = {}
     for (a, m), (consequent, degree) in sorted(base.rules.items()):
-        lo, hi = above[a], below[a + 2]
-        level = base.out_partition.spike_level(consequent)
-        height = heights.setdefault(level, np.zeros(occupied.size))[lo:hi]
-        np.maximum(height, degree * np.minimum(grades_v[a, lo:hi], grades_m[m, lo:hi]), out=height)
-
+        by_level.setdefault(base.out_partition.spike_level(consequent), []).append((a, m, degree))
     numerator = np.zeros(occupied.size, dtype=np.float64)
     mass = np.zeros(occupied.size, dtype=np.float64)
-    for level in sorted(heights):
-        numerator += level * heights[level]
-        mass += heights[level]
+    for level in sorted(by_level):
+        height = np.zeros(occupied.size)
+        for a, m, degree in by_level[level]:
+            lo, hi = above[a], below[a + 2]
+            grades = np.minimum(lut_v[a, values[lo:hi]], lut_m[m, sums[lo:hi]])
+            np.maximum(height[lo:hi], degree * grades, out=height[lo:hi])
+        numerator += level * height
+        mass += height
 
     fired = mass > 0.0
     centroid = np.divide(numerator, mass, out=np.zeros_like(numerator), where=fired)
-    levels = np.clip(round_half_up(centroid), 0, 255)
+    levels = round_half_up(centroid)
     table = np.empty(256 * _SUM_LEVELS, dtype=np.int16)  # level per occupied key, -1: no rule
     table[occupied] = np.where(fired, levels, -1)
     restored = table[keys]
@@ -191,7 +167,7 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
     anchors = [float(t) for t in report.converged_levels()]
     in_partition = build_partition(anchors, cfg.min_regions)
     in_partitions = (in_partition, in_partition)
-    bg_mean, fg_mean = _split_means(hist.counts, level)
+    bg_mean, fg_mean = hist.class_means(level)
     out_partition = build_partition(sorted({bg_mean, fg_mean}), cfg.min_regions)
 
     # Training lattice: (column - row) % stride == 0.  The stagger keeps the

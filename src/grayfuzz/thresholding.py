@@ -2,7 +2,8 @@
 
 Each method selects a single global level from the 256-bin histogram.
 Background/foreground convention, fixed across the whole package: a pixel
-belongs to the background iff ``value <= level``.
+belongs to the background iff ``value <= level``; every method reads its
+splits from ``Histogram``'s exact cumulative sums and ``class_means``.
 
 Method sources (standard published forms):
 
@@ -156,7 +157,7 @@ class ThresholdReport:
 # ---------------------------------------------------------------------------
 
 class _Stats:
-    """Exact cumulative sums and the two-class split at every candidate level.
+    """The two-class split at every candidate level, from the histogram.
 
     A split at level ``t`` puts bins ``<= t`` in the background (class 0) and
     the rest in the foreground (class 1).  The candidates ``t`` are
@@ -165,23 +166,17 @@ class _Stats:
     class counts and sums are exact floats.
     """
 
-    def __init__(self, counts: np.ndarray):
-        self.counts = counts.astype(np.int64)
-        self.total = int(self.counts.sum())
-        levels = np.arange(256, dtype=np.int64)
-        self.cum_w = np.cumsum(self.counts)                    # pixel counts
-        self.cum_s = np.cumsum(levels * self.counts)           # intensity sums
-        self.cum_q = np.cumsum(levels * levels * self.counts)  # squared sums
-        nz = np.flatnonzero(self.counts)
-        self.first = int(nz[0])
-        self.last = int(nz[-1])
+    def __init__(self, hist: Histogram):
+        self.hist = hist
+        self.counts, self.total = hist.counts, hist.total
+        self.first, self.last = hist.occupied_range()
         self.p = self.counts / self.total
         self.t = t = np.arange(self.first, self.last, dtype=np.int64)
         n = float(self.total)
-        self.w0 = self.cum_w[t].astype(np.float64)
+        self.w0 = hist.cum_counts[t].astype(np.float64)
         self.w1 = n - self.w0
-        self.s0 = self.cum_s[t].astype(np.float64)
-        self.s1 = float(self.cum_s[-1]) - self.s0
+        self.s0 = hist.cum_sums[t].astype(np.float64)
+        self.s1 = float(hist.cum_sums[-1]) - self.s0
         self.p0 = self.w0 / n
         self.p1 = self.w1 / n
         self.mu0 = self.s0 / self.w0
@@ -193,10 +188,9 @@ class _Stats:
         return cum[self.t], cum[-1] - cum[self.t]
 
     def midpoint(self, t: int) -> float:
-        """Mean of the two class means at one split, in exact integer sums."""
-        w_lo = int(self.cum_w[t])
-        s_lo = int(self.cum_s[t])
-        return (s_lo / w_lo + (int(self.cum_s[-1]) - s_lo) / (self.total - w_lo)) / 2.0
+        """Mean of the two class means at one split."""
+        bg_mean, fg_mean = self.hist.class_means(t)
+        return (bg_mean + fg_mean) / 2.0
 
 
 def _lowest_argmin(values: np.ndarray, candidates: np.ndarray) -> int:
@@ -222,12 +216,12 @@ def _require_spread(stats: _Stats, method: ThresholdMethod):
 
 def _threshold_mean(stats: _Stats) -> int:
     # floor of the exact mean; integer arithmetic keeps it platform-stable
-    return int(int(stats.cum_s[-1]) // stats.total)
+    return int(int(stats.hist.cum_sums[-1]) // stats.total)
 
 
 def _threshold_percentile(stats: _Stats) -> int:
     candidates = np.arange(stats.first, stats.last + 1, dtype=np.int64)
-    return _lowest_argmin(np.abs(stats.cum_w[candidates] / stats.total - 0.5), candidates)
+    return _lowest_argmin(np.abs(stats.hist.cum_counts[candidates] / stats.total - 0.5), candidates)
 
 
 def _threshold_default(stats: _Stats) -> int:
@@ -274,8 +268,8 @@ def _threshold_max_entropy(stats: _Stats) -> int:
 
 
 def _threshold_min_error(stats: _Stats) -> int:
-    q0 = stats.cum_q[stats.t].astype(np.float64)
-    q1 = float(stats.cum_q[-1]) - q0
+    q0 = stats.hist.cum_squares[stats.t].astype(np.float64)
+    q1 = float(stats.hist.cum_squares[-1]) - q0
     var0 = q0 / stats.w0 - stats.mu0 ** 2
     var1 = q1 / stats.w1 - stats.mu1 ** 2
     p0, p1 = stats.p0, stats.p1
@@ -364,8 +358,8 @@ def _threshold_renyi(stats: _Stats) -> int:
 
 def _threshold_shanbhag(stats: _Stats) -> int:
     t, p, p0, p1 = stats.t, stats.p, stats.p0, stats.p1
-    below_mass = stats.cum_w / stats.total            # mass at or below each bin
-    above_mass = (stats.total - stats.cum_w) / stats.total
+    below_mass = stats.hist.cum_counts / stats.total  # mass at or below each bin
+    above_mass = (stats.total - stats.hist.cum_counts) / stats.total
     below_prev = np.concatenate(([0.0], below_mass[:-1]))
     bins = np.arange(256)
 
@@ -431,7 +425,7 @@ def compute_threshold(method: ThresholdMethod, hist: Histogram) -> int:
     if hist.total <= 0:
         raise ValueError("histogram is empty")
     method = ThresholdMethod(method)
-    stats = _Stats(np.asarray(hist.counts))
+    stats = _Stats(hist)
     if method not in _TOTAL_METHODS:
         _require_spread(stats, method)
     return _METHODS[method](stats)

@@ -551,18 +551,21 @@ def majority_vote(pixels, levels):
     return votes * 2 > len(levels)
 
 
+def class_means(image, level):
+    """(background, foreground) mean intensity of the split at ``level``
+    (background iff value <= level), summed pixel by pixel; an empty class
+    borrows the other's mean."""
+    pixels = image.pixels.tolist()
+    classes = [[p for p in pixels if (p > level) == fg] for fg in (False, True)]
+    means = [sum(c) / len(c) if c else None for c in classes]
+    return tuple(means[1 - k] if means[k] is None else means[k] for k in (0, 1))
+
+
 def two_level_image(image, level):
     """Binarized-means reading, pixel by pixel: each class of the split at
-    ``level`` (background iff value <= level) becomes its mean intensity,
-    summed from the pixels and rounded half-up; an empty class borrows the
-    other's mean."""
-    pixels = image.pixels.tolist()
-    classes = {fg: [p for p in pixels if (p > level) == fg] for fg in (False, True)}
-    means = {fg: sum(c) / len(c) for fg, c in classes.items() if c}
-    levels = {
-        fg: int(round_half_up(means.get(fg, means.get(not fg)))) for fg in (False, True)
-    }
-    return GrayImage(image.width, image.height, [levels[p > level] for p in pixels])
+    ``level`` becomes its ``class_means`` mean, rounded half-up."""
+    levels = [int(round_half_up(m)) for m in class_means(image, level)]
+    return GrayImage(image.width, image.height, [levels[p > level] for p in image.pixels.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,11 @@ class TestBuildPartition:
         with pytest.raises(ValueError):
             build_partition([], min_regions=3)
 
+    @pytest.mark.parametrize("min_regions", [2.5, 3.0])
+    def test_non_integer_min_regions_rejected(self, min_regions):
+        with pytest.raises(ValueError):
+            build_partition([100.0], min_regions=min_regions)
+
     def test_edge_anchor_collapses_into_shoulder(self):
         part = build_partition([0.0, 128.0], min_regions=2)
         assert part.peaks == (0.0, 128.0, 255.0)
@@ -111,6 +116,13 @@ class TestMembership:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             float(self.part.evaluate(9, 10.0))
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True])
+    @pytest.mark.parametrize("call", ["evaluate", "spike_level"])
+    def test_non_integer_index_rejected(self, call, index):
+        args = (index, 100.0) if call == "evaluate" else (index,)
+        with pytest.raises(IndexError):
+            getattr(self.part, call)(*args)
 
     def test_domain_check(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,8 @@ from grayfuzz.image_core import (
 )
 from grayfuzz.fuzzy import RuleCandidates
 
+import oracles
+
 
 def random_image(rng, max_side=32):
     w = int(rng.integers(1, max_side))
@@ -90,6 +92,12 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             GrayImage(2, 2, [1, 2, 3])
 
+    @pytest.mark.parametrize("width, height", [(2.0, 2), (2, 2.0), (True, 1)])
+    def test_rejects_non_integer_dimensions(self, width, height):
+        # a float width would reach the PGM header as "2.0", which load_pgm rejects
+        with pytest.raises(ValueError):
+            GrayImage(width, height, [5] * int(width * height))
+
     def test_immutable(self):
         img = GrayImage(1, 1, [5])
         with pytest.raises(AttributeError):
@@ -101,6 +109,8 @@ class TestGrayImage:
 @pytest.mark.parametrize(
     "cls, fields, changed",
     [
+        (GrayImage, {"width": 2, "height": 1, "pixels": [0, 9]},
+         {"width": 2, "height": 1, "pixels": [9, 0]}),
         (Histogram, {"counts": list(range(256)), "total": 32640},
          {"counts": list(range(255, -1, -1)), "total": 32640}),
         (RegionLabeling, {"labels": [0, 1, 1], "region_count": 2},
@@ -108,7 +118,7 @@ class TestGrayImage:
         (RuleCandidates, {"antecedents": [[0, 1]], "consequents": [2], "degrees": [0.5]},
          {"antecedents": [[0, 1]], "consequents": [2], "degrees": [0.25]}),
     ],
-    ids=["Histogram", "RegionLabeling", "RuleCandidates"],
+    ids=["GrayImage", "Histogram", "RegionLabeling", "RuleCandidates"],
 )
 def test_array_values_compare_by_value(cls, fields, changed):
     a, b = cls(**fields), cls(**fields)
@@ -139,6 +149,32 @@ class TestHistogram:
             Histogram(counts=np.zeros(10, dtype=np.int64), total=0)
         with pytest.raises(ValueError):
             Histogram(counts=np.ones(256, dtype=np.int64), total=5)
+
+    @pytest.mark.parametrize("total", [256.0, np.float64(256), True], ids=["float", "numpy", "bool"])
+    def test_non_integer_total_rejected(self, total):
+        counts = np.ones(256, dtype=np.int64) if total != 1 else np.eye(256, dtype=np.int64)[0]
+        with pytest.raises(ValueError):
+            Histogram(counts=counts, total=total)
+
+    def test_class_means_match_per_pixel_oracle(self):
+        rng = np.random.default_rng(13)
+        # random censuses, then censuses occupied only at 0 or only at 255,
+        # where one class is empty at every level
+        images = [random_image(rng, max_side=12) for _ in range(6)]
+        images += [GrayImage(3, 1, [v] * 3) for v in (0, 255)]
+        for img in images:
+            hist = histogram(img)
+            for level in range(256):
+                assert hist.class_means(level) == oracles.class_means(img, level)
+
+    def test_cumulative_sums_read_only(self):
+        hist = histogram(GrayImage(3, 1, [0, 2, 255]))
+        assert hist.cum_squares[-1] == 4 + 255 * 255 and hist.cum_sums[2] == 2
+        for name in ("cum_counts", "cum_sums", "cum_squares"):
+            with pytest.raises(ValueError):
+                getattr(hist, name)[0] = 1
+            with pytest.raises(AttributeError):
+                setattr(hist, name, None)
 
 
 class TestNoise:
@@ -213,6 +249,11 @@ class TestValidatePartition:
     def test_unused_region_id_rejected(self):
         with pytest.raises(ValueError):
             RegionLabeling(labels=np.zeros(8, dtype=int), region_count=2)
+
+    @pytest.mark.parametrize("labels, region_count", [([0, 1, 1], 2.0), ([0], True)])
+    def test_non_integer_region_count_rejected(self, labels, region_count):
+        with pytest.raises(ValueError):
+            RegionLabeling(labels=labels, region_count=region_count)
 
     def test_length_mismatch(self):
         img, _ = self._halves()

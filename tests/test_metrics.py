@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from grayfuzz.image_core import GrayImage
+from grayfuzz.image_core import GrayImage, histogram
 from grayfuzz.metrics import MetricsRecord, SplitCensus, compare, format_metric
-from grayfuzz.pipeline import class_levels
 
 import oracles
 
@@ -103,18 +102,19 @@ class TestCensus:
         rng = np.random.default_rng(35)
         for noisy, clean in random_images(rng, 8):
             census = SplitCensus(noisy, clean)
-            counts = np.bincount(noisy.pixels, minlength=256)
-            assert np.array_equal(census.source_counts, counts)
+            assert census.source == histogram(noisy) and census.reference == histogram(clean)
             for level in range(256):
-                low, high = class_levels(counts, level)
                 expected = compare(oracles.two_level_image(noisy, level), clean)
-                assert census.score(level, low, high) == expected
+                assert census.score(level) == expected
 
-    @pytest.mark.parametrize("reading", [(-1, 0, 0), (0, 256, 0), (0, 0, 2.5), (300, 1, 1)])
-    def test_bad_reading_rejected(self, reading):
+    @pytest.mark.parametrize("level", [-1, 256, 2.5, True])
+    def test_bad_reading_rejected(self, level):
         img = GrayImage(2, 1, [0, 100])
+        census = SplitCensus(img, img)
         with pytest.raises(ValueError):
-            SplitCensus(img, img).score(*reading)
+            census.score(level)
+        with pytest.raises(ValueError):
+            census.source.class_means(level)
 
     def test_census_dimension_mismatch(self):
         with pytest.raises(ValueError):

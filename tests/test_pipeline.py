@@ -9,6 +9,7 @@ from grayfuzz.image_core import (
     NoiseSpec,
     add_gaussian_noise,
     bimodal_phantom,
+    histogram,
     two_level_phantom,
 )
 from grayfuzz.metrics import compare
@@ -17,7 +18,6 @@ from grayfuzz.pipeline import (
     WINDOW,
     PipelineConfig,
     _pixel_keys,
-    class_levels,
     extract,
 )
 
@@ -195,28 +195,22 @@ class TestFuzzifyImage:
 
 
 class TestTwoLevelImage:
-    @staticmethod
-    def _levels(pixels, level):
-        counts = np.bincount(np.asarray(pixels, dtype=np.uint8), minlength=256)
-        return class_levels(counts, level)
-
     def test_class_means_rounded(self):
         img = GrayImage(4, 1, [10, 20, 200, 210])
-        assert self._levels(img.pixels, 100) == (15, 205)
+        assert histogram(img).class_means(100) == (15.0, 205.0)
         assert oracles.two_level_image(img, 100).pixels.tolist() == [15, 15, 205, 205]
 
     def test_empty_class_borrows_other(self):
         img = GrayImage(2, 1, [10, 20])
-        assert self._levels(img.pixels, 100) == (15, 15)  # no foreground
+        assert histogram(img).class_means(100) == (15.0, 15.0)  # no foreground
         assert oracles.two_level_image(img, 100).pixels.tolist() == [15, 15]
 
     def test_split_edges(self):
         # background iff value <= level: at 255 nothing is foreground, at 0
         # only zeros are background
-        pixels = [0, 1, 255]
-        assert self._levels(pixels, 255) == (85, 85)
-        assert self._levels(pixels, 0) == (0, 128)
-        img = GrayImage(3, 1, pixels)
+        img = GrayImage(3, 1, [0, 1, 255])
+        assert histogram(img).class_means(255) == (256 / 3, 256 / 3)
+        assert histogram(img).class_means(0) == (0.0, 128.0)
         assert oracles.two_level_image(img, 255).pixels.tolist() == [85, 85, 85]
         assert oracles.two_level_image(img, 0).pixels.tolist() == [0, 128, 128]
 
