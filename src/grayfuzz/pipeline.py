@@ -118,7 +118,7 @@ def _apply_rulebase(base: RuleBase, keys: np.ndarray) -> Tuple[np.ndarray, int]:
         height = np.zeros(occupied.size)
         for a, m, degree in by_level[level]:
             lo, hi = above[a], below[a + 2]
-            grades = np.minimum(lut_v[a, values[lo:hi]], lut_m[m, sums[lo:hi]])
+            grades = np.minimum(lut_v[a].take(values[lo:hi]), lut_m[m].take(sums[lo:hi]))
             np.maximum(height[lo:hi], degree * grades, out=height[lo:hi])
         numerator += level * height
         mass += height
