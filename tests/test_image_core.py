@@ -166,6 +166,8 @@ class TestHistogram:
             hist = histogram(img)
             for level in range(256):
                 assert hist.class_means(level) == oracles.class_means(img, level)
+        with pytest.raises(ValueError):
+            Histogram(counts=np.zeros(256, dtype=np.int64), total=0).class_means(0)
 
     def test_cumulative_sums_read_only(self):
         hist = histogram(GrayImage(3, 1, [0, 2, 255]))
