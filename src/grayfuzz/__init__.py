@@ -3,16 +3,14 @@
 Fifteen histogram auto-thresholding methods anchor the partitions of a
 fuzzy rule base, and their per-pixel majority vote, one split level, labels
 its training data; the rule base restores the image content, evaluated with
-MAE/MSE/SNR/PSNR.  Feature-level fusion, ``fuse_feature_level`` (the mean
-of the levels), feeds neither.
+MAE/MSE/SNR/PSNR.  The package holds only what that chain runs, and each
+value checks its own fields where it is built.
 """
 
 from .image_core import (
     GrayImage,
     Histogram,
     NoiseSpec,
-    RegionLabeling,
-    PartitionVerdict,
     PgmError,
     MalformedHeaderError,
     UnsupportedMaxvalError,
@@ -24,11 +22,9 @@ from .image_core import (
     histogram,
     load_image,
     load_pgm,
-    range_predicate,
     round_half_up,
     save_pgm,
     two_level_phantom,
-    validate_partition,
 )
 from .thresholding import (
     ThresholdEntry,
@@ -37,7 +33,6 @@ from .thresholding import (
     ThresholdReport,
     METHOD_ORDER,
     compute_threshold,
-    fuse_feature_level,
     threshold_report,
 )
 from .fuzzy import (

@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .image_core import _array_fields_equal, _is_int, round_half_up
+from .image_core import _array_fields_equal, _int_array, _is_int, _is_real, round_half_up
 
 __all__ = [
     "FuzzyPartition",
@@ -56,6 +56,8 @@ class FuzzyPartition:
     peaks: Tuple[float, ...]
 
     def __post_init__(self):
+        if not all(_is_real(p) for p in self.peaks):
+            raise ValueError(f"region peaks {self.peaks!r} are not all real numbers")
         peaks = tuple(float(p) for p in self.peaks)
         if len(peaks) < 2:
             raise ValueError("a partition needs at least two regions")
@@ -140,8 +142,8 @@ def build_partition(anchors: Sequence[float], min_regions: int = 2) -> FuzzyPart
     anchors = list(anchors)
     if not anchors:
         raise ValueError("need at least one anchor")
-    if any(a < 0 or a > DOMAIN_MAX for a in anchors):
-        raise ValueError("anchors must lie in [0, 255]")
+    if not all(_is_real(a) and 0 <= a <= DOMAIN_MAX for a in anchors):  # NaN fails too
+        raise ValueError(f"anchors {anchors!r} are not all real numbers in [0, 255]")
     if not _is_int(min_regions) or min_regions < 2:
         raise ValueError(f"min_regions {min_regions!r} is not an integer of at least 2")
     centers = [c for c in _cluster_anchors(anchors) if 0.0 < c < DOMAIN_MAX]
@@ -164,8 +166,8 @@ class RuleCandidates:
     degrees: np.ndarray
 
     def __post_init__(self):
-        antecedents = np.asarray(self.antecedents, dtype=np.int64)
-        consequents = np.asarray(self.consequents, dtype=np.int64)
+        antecedents = _int_array(self.antecedents, "antecedent regions")
+        consequents = _int_array(self.consequents, "consequent regions")
         degrees = np.asarray(self.degrees, dtype=np.float64)
         if antecedents.ndim != 2 or not (
             antecedents.shape[:1] == consequents.shape == degrees.shape
@@ -182,10 +184,9 @@ class RuleCandidates:
 
 
 def _partition_from_json(payload) -> FuzzyPartition:
-    # exact types: JSON true/false load as bool, a subclass of int
     peaks = payload.get("peaks") if isinstance(payload, dict) else None
-    if type(peaks) is not list or not all(type(p) in (int, float) for p in peaks):
-        raise ValueError(f"partition {payload!r}: peaks must be a list of numbers")
+    if type(peaks) is not list:
+        raise ValueError(f"partition {payload!r}: peaks must be a list")
     return FuzzyPartition(tuple(peaks))
 
 
@@ -193,24 +194,31 @@ def _partition_from_json(payload) -> FuzzyPartition:
 class RuleBase:
     """Conflict-resolved rule collection plus the partitions it was built
     against; immutable, safe for concurrent read-only inference.  Every rule
-    names one region per input partition and an output region, with a degree
-    in (0, 1]."""
+    names one integer region per input partition and an integer output
+    region, with a real degree in (0, 1]; the rules are stored as Python
+    ``int`` and ``float``, so ``to_json_text`` always writes what
+    ``from_json_text`` reads back."""
 
     rules: Dict[Tuple[int, ...], Tuple[int, float]]
     in_partitions: Tuple[FuzzyPartition, ...]
     out_partition: FuzzyPartition
 
     def __post_init__(self):
+        partitions = (*self.in_partitions, self.out_partition)
+        if not all(isinstance(p, FuzzyPartition) for p in partitions):
+            raise ValueError("rule base partitions must be FuzzyPartition values")
         counts = [p.region_count for p in self.in_partitions]
+        rules = {}
         for antecedent, (consequent, degree) in self.rules.items():
-            if len(antecedent) != len(counts) or not all(
-                0 <= region < n for region, n in zip(antecedent, counts)
-            ):
-                raise ValueError(f"rule {antecedent}: antecedent does not fit the input partitions")
-            if not 0 <= consequent < self.out_partition.region_count:
-                raise ValueError(f"rule {antecedent}: consequent {consequent} out of range")
-            if not 0.0 < degree <= 1.0:
-                raise ValueError(f"rule {antecedent}: degree {degree} outside (0, 1]")
+            fits = isinstance(antecedent, tuple) and len(antecedent) == len(counts)
+            if not (fits and all(_is_int(r) and 0 <= r < n for r, n in zip(antecedent, counts))):
+                raise ValueError(f"rule {antecedent!r}: antecedent does not fit the input partitions")
+            if not (_is_int(consequent) and 0 <= consequent < self.out_partition.region_count):
+                raise ValueError(f"rule {antecedent!r}: consequent {consequent!r} out of range")
+            if not (_is_real(degree) and 0.0 < degree <= 1.0):
+                raise ValueError(f"rule {antecedent!r}: degree {degree!r} is not a real in (0, 1]")
+            rules[tuple(int(region) for region in antecedent)] = (int(consequent), float(degree))
+        object.__setattr__(self, "rules", rules)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -244,14 +252,15 @@ class RuleBase:
         for r in payload["rules"]:
             if not isinstance(r, dict) or not r.keys() >= {"antecedent", "consequent", "degree"}:
                 raise ValueError(f"rule {r!r}: needs antecedent, consequent and degree")
-            antecedent, consequent, degree = r["antecedent"], r["consequent"], r["degree"]
-            if type(antecedent) is not list or any(
-                type(region) is not int for region in [*antecedent, consequent]
+            # a flat list keeps the key hashable; __post_init__ checks each value
+            if type(r["antecedent"]) is not list or any(
+                isinstance(region, (list, dict)) for region in r["antecedent"]
             ):
-                raise ValueError(f"rule {r!r}: regions must be integers")
-            if type(degree) not in (int, float):
-                raise ValueError(f"rule {r!r}: degree must be a number")
-            rules[tuple(antecedent)] = (consequent, float(degree))
+                raise ValueError(f"rule {r!r}: antecedent must be a flat list")
+            antecedent = tuple(r["antecedent"])
+            if antecedent in rules:
+                raise ValueError(f"two rules share the antecedent {r['antecedent']!r}")
+            rules[antecedent] = (r["consequent"], r["degree"])
         return cls(rules=rules, in_partitions=in_parts, out_partition=out_part)
 
     @classmethod

@@ -1,9 +1,11 @@
 """8-bit grayscale image values, PGM I/O, seeded Gaussian corruption and
-partition validity checking.
+the synthetic phantoms of the benchmark.
 
 Everything here is a pure function over immutable values: a loaded or
-constructed :class:`GrayImage` never changes, so images, histograms and
-labelings can be shared freely across threads.
+constructed :class:`GrayImage` never changes, so images and histograms can
+be shared freely across threads.  Each value checks its own fields when it
+is built, with the one integer test ``_is_int``, the one real test
+``_is_real`` and the one integer-array test ``_int_array``.
 
 Noise reproducibility contract: deviates come from ``numpy.random.default_rng``
 (PCG64) seeded with the 64-bit ``NoiseSpec.seed``, drawn as one sequential
@@ -14,7 +16,6 @@ constant; changing it would invalidate every recorded benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
@@ -22,8 +23,6 @@ __all__ = [
     "GrayImage",
     "Histogram",
     "NoiseSpec",
-    "RegionLabeling",
-    "PartitionVerdict",
     "PgmError",
     "MalformedHeaderError",
     "UnsupportedMaxvalError",
@@ -35,8 +34,6 @@ __all__ = [
     "load_image",
     "histogram",
     "add_gaussian_noise",
-    "validate_partition",
-    "range_predicate",
     "round_half_up",
     "two_level_phantom",
     "bimodal_phantom",
@@ -56,6 +53,19 @@ def round_half_up(x):
 def _is_int(value) -> bool:
     # bool is an int subclass; a float such as 2.5 must not be truncated
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # True must not pass as 1.0, nor a string as the number it spells
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; a float or bool dtype is never truncated."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must have an integer dtype, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _array_fields_equal(a, b) -> bool:
@@ -86,6 +96,8 @@ class GrayImage:
                 f"pixel count {arr.size} does not match {self.width}x{self.height}"
             )
         if arr.dtype != np.uint8:
+            if arr.dtype.kind not in "iuf":
+                raise ValueError(f"pixel dtype {arr.dtype} is not an integer or real type")
             # NaN fails this test too, as NaN != NaN
             if arr.dtype.kind == "f" and not np.array_equal(arr, np.floor(arr)):
                 raise ValueError("pixel values must be finite integers")
@@ -127,7 +139,7 @@ class Histogram:
     cum_squares: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _int_array(self.counts, "bin counts")
         if counts.shape != (LEVELS,):
             raise ValueError("histogram needs exactly 256 bins")
         if counts.min() < 0:
@@ -177,57 +189,12 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.sigma < float("inf"):  # NaN fails both comparisons
+        if not (_is_real(self.sigma) and 0 <= self.sigma < float("inf")):  # NaN fails both
             raise ValueError(f"sigma {self.sigma!r} is not a finite non-negative number")
         if not _is_int(self.seed):
             raise ValueError(f"seed {self.seed!r} is not an integer")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-
-
-@dataclass(frozen=True)
-class RegionLabeling:
-    """Row-major region identifiers partitioning an image into
-    ``region_count`` regions, every id in [0, region_count) used."""
-
-    labels: np.ndarray
-    region_count: int
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        if not _is_int(self.region_count) or self.region_count < 1:
-            raise ValueError(f"region_count {self.region_count!r} is not a positive integer")
-        if labels.size == 0:
-            raise ValueError("empty labeling")
-        if labels.min() < 0 or labels.max() >= self.region_count:
-            raise ValueError("label outside [0, region_count)")
-        present = np.unique(labels)
-        if present.size != self.region_count:
-            missing = sorted(set(range(self.region_count)) - set(present.tolist()))
-            raise ValueError(f"region ids never used: {missing}")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-
-    __eq__ = _array_fields_equal
-
-
-@dataclass(frozen=True)
-class PartitionVerdict:
-    """Outcome of the four partition-validity checks."""
-
-    union_ok: bool
-    disjoint_ok: bool
-    homogeneous_ok: bool
-    adjacent_merge_fails: bool
-
-    @property
-    def valid(self) -> bool:
-        return (
-            self.union_ok
-            and self.disjoint_ok
-            and self.homogeneous_ok
-            and self.adjacent_merge_fails
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -369,71 +336,6 @@ def add_gaussian_noise(image: GrayImage, spec: NoiseSpec) -> GrayImage:
     noise = rng.normal(0.0, spec.sigma, size=image.pixels.size)
     noisy = round_half_up(image.pixels.astype(np.float64) + noise)
     return GrayImage(image.width, image.height, np.clip(noisy, 0, 255))
-
-
-# ---------------------------------------------------------------------------
-# Partition validity (two-region homogeneity checking)
-# ---------------------------------------------------------------------------
-
-def range_predicate(tolerance: int) -> Callable[[np.ndarray], bool]:
-    """Default homogeneity test: intensity range (max-min) <= tolerance."""
-
-    def predicate(values: np.ndarray) -> bool:
-        values = np.asarray(values)
-        if values.size == 0:
-            return True
-        return int(values.max()) - int(values.min()) <= tolerance
-
-    return predicate
-
-
-def validate_partition(
-    image: GrayImage,
-    labeling: RegionLabeling,
-    predicate: Callable[[np.ndarray], bool],
-) -> PartitionVerdict:
-    """Check a labeling against the four partition conditions.
-
-    * union_ok: every pixel carries a label (guaranteed by construction once
-      lengths match, reported for completeness);
-    * disjoint_ok: labels are a function of position, also representational;
-    * homogeneous_ok: ``predicate`` holds on every region's pixel values;
-    * adjacent_merge_fails: ``predicate`` fails on the union of every
-      4-connected adjacent region pair (vacuously true with one region).
-    """
-    if labeling.labels.size != image.pixels.size:
-        raise ValueError(
-            f"labeling covers {labeling.labels.size} pixels, image has {image.pixels.size}"
-        )
-    labels2d = labeling.labels.reshape(image.height, image.width)
-    values = image.pixels
-
-    homogeneous_ok = all(
-        predicate(values[labeling.labels == region])
-        for region in range(labeling.region_count)
-    )
-
-    pairs = set()
-    horiz = labels2d[:, :-1] != labels2d[:, 1:]
-    for a, b in zip(labels2d[:, :-1][horiz], labels2d[:, 1:][horiz]):
-        pairs.add((min(int(a), int(b)), max(int(a), int(b))))
-    vert = labels2d[:-1, :] != labels2d[1:, :]
-    for a, b in zip(labels2d[:-1, :][vert], labels2d[1:, :][vert]):
-        pairs.add((min(int(a), int(b)), max(int(a), int(b))))
-
-    adjacent_merge_fails = all(
-        not predicate(
-            values[(labeling.labels == a) | (labeling.labels == b)]
-        )
-        for a, b in sorted(pairs)
-    )
-
-    return PartitionVerdict(
-        union_ok=True,
-        disjoint_ok=True,
-        homogeneous_ok=homogeneous_ok,
-        adjacent_merge_fails=adjacent_merge_fails,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The fifteen histogram auto-thresholding methods plus threshold fusion.
+"""The fifteen histogram auto-thresholding methods and their majority fusion.
 
 Each method selects a single global level from the 256-bin histogram.
 Background/foreground convention, fixed across the whole package: a pixel
@@ -54,7 +54,6 @@ __all__ = [
     "ThresholdReport",
     "compute_threshold",
     "threshold_report",
-    "fuse_feature_level",
     "METHOD_ORDER",
 ]
 
@@ -144,12 +143,6 @@ class ThresholdReport:
             level = "" if entry.level is None else str(entry.level)
             lines.append(f"{method.value},{level},{entry.status}")
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            method.value: {"level": entry.level, "status": entry.status}
-            for method, entry in ((m, self.entries[m]) for m in METHOD_ORDER)
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +434,3 @@ def threshold_report(hist: Histogram) -> ThresholdReport:
         except ThresholdFailure:
             entries[method] = ThresholdEntry(level=None, status="failed")
     return ThresholdReport(entries=entries)
-
-
-def fuse_feature_level(report: ThresholdReport) -> int:
-    """Feature-level fusion: round-half-up mean of the converged levels (not
-    used by ``extract``, which trains on the majority split)."""
-    levels = report.converged_levels()
-    if not levels:
-        raise ValueError("no converged thresholds to fuse")
-    return int(round_half_up(sum(levels) / len(levels)))

@@ -1,6 +1,7 @@
 """Independent brute-force references for the threshold criteria, the
 rule-learning procedure, window sums, per-pixel inference, majority
-fusion, the two-level reading and the image-quality metrics.
+fusion, the two-level reading and the image-quality metrics, plus the
+partition-validity checker behind acceptance criterion 9.
 
 Every threshold oracle sweeps all candidate levels and evaluates the
 method's published criterion directly on freshly-summed histogram slices,
@@ -14,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from grayfuzz.fuzzy import RuleBase
-from grayfuzz.image_core import GrayImage, round_half_up
+from grayfuzz.image_core import GrayImage, _array_fields_equal, _is_int, round_half_up
 from grayfuzz.metrics import PSNR_PEAK, MetricsRecord
 
 LEVELS = 256
@@ -601,3 +602,71 @@ def compare_per_pixel(test, reference) -> MetricsRecord:
     psnr = 10.0 * math.log10(PSNR_PEAK * PSNR_PEAK / mse)
     snr = -math.inf if ref_sq_sum == 0 else 10.0 * math.log10(ref_sq_sum / sq_sum)
     return MetricsRecord(mae=mae, mse=mse, snr_db=snr, psnr_db=psnr)
+
+
+# ---------------------------------------------------------------------------
+# Partition validity (two-region homogeneity checking)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RegionLabeling:
+    """Row-major region identifiers partitioning an image into
+    ``region_count`` regions, every id in [0, region_count) used."""
+
+    labels: np.ndarray
+    region_count: int
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        if not _is_int(self.region_count) or self.region_count < 1:
+            raise ValueError(f"region_count {self.region_count!r} is not a positive integer")
+        if labels.size == 0:
+            raise ValueError("empty labeling")
+        if labels.min() < 0 or labels.max() >= self.region_count:
+            raise ValueError("label outside [0, region_count)")
+        present = np.unique(labels)
+        if present.size != self.region_count:
+            missing = sorted(set(range(self.region_count)) - set(present.tolist()))
+            raise ValueError(f"region ids never used: {missing}")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+
+    __eq__ = _array_fields_equal
+
+
+class PartitionVerdict(NamedTuple):
+    """The two partition conditions a labeling can fail.  The other two hold
+    by construction: one id per pixel makes the regions disjoint, and a
+    labeling as long as the image makes their union the whole image."""
+
+    homogeneous_ok: bool  # the predicate holds on every region
+    adjacent_merge_fails: bool  # it fails on every 4-adjacent pair merged
+
+
+def range_predicate(tolerance: int) -> Callable[[np.ndarray], bool]:
+    """Homogeneity test: intensity range (max - min) <= tolerance; no values pass."""
+    return lambda values: values.size == 0 or int(values.max()) - int(values.min()) <= tolerance
+
+
+def validate_partition(image, labeling, predicate) -> PartitionVerdict:
+    """Check a labeling of ``image`` against the partition conditions; a
+    labeling that does not cover the image is a ValueError.  With one region
+    the merge condition holds vacuously."""
+    if labeling.labels.size != image.pixels.size:
+        raise ValueError(
+            f"labeling covers {labeling.labels.size} pixels, image has {image.pixels.size}"
+        )
+    labels, values = labeling.labels, image.pixels
+    grid = labels.reshape(image.height, image.width)
+    pairs = set()
+    for a, b in ((grid[:, :-1], grid[:, 1:]), (grid[:-1], grid[1:])):
+        differ = a != b
+        pairs.update(zip(np.minimum(a, b)[differ].tolist(), np.maximum(a, b)[differ].tolist()))
+    return PartitionVerdict(
+        homogeneous_ok=all(
+            predicate(values[labels == region]) for region in range(labeling.region_count)
+        ),
+        adjacent_merge_fails=all(
+            not predicate(values[(labels == a) | (labels == b)]) for a, b in sorted(pairs)
+        ),
+    )

@@ -139,7 +139,8 @@ class TestBenchmark:
     @pytest.mark.parametrize(
         "sigmas, seeds",
         [((float("nan"),), (1,)), ((float("inf"),), (1,)), ((15.0, -1.0), (1,)),
-         ((15.0,), (1.5,)), ((15.0,), (True,)), ((15.0,), (1, -2)), ((), (1,)), ((15.0,), ())],
+         ((15.0,), (1.5,)), ((15.0,), (True,)), ((15.0,), (1, -2)), ((), (1,)), ((15.0,), ()),
+         (("a",), (1,))],
     )
     def test_bad_noise_parameters_rejected(self, sigmas, seeds):
         # rejected when the spec is built, before any image is loaded

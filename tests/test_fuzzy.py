@@ -58,6 +58,14 @@ class TestBuildPartition:
         with pytest.raises(ValueError):
             build_partition([100.0], min_regions=min_regions)
 
+    @pytest.mark.parametrize(
+        "anchors", [[float("nan")], [True, 100.0], ["100"]], ids=["nan", "bool", "str"]
+    )
+    def test_non_real_anchor_rejected(self, anchors):
+        # NaN was dropped without a word, and True anchored a region at 1.0
+        with pytest.raises(ValueError):
+            build_partition(anchors)
+
     def test_edge_anchor_collapses_into_shoulder(self):
         part = build_partition([0.0, 128.0], min_regions=2)
         assert part.peaks == (0.0, 128.0, 255.0)
@@ -80,6 +88,8 @@ class TestFuzzyPartition:
             (0.0, 100.0, 100.0, 255.0),  # not strictly increasing
             (50.0, 100.0, 255.0),  # first peak is not 0
             (0.0, 100.0),  # last peak is not 255
+            (0, True, 255),  # a bool is not a peak at 1.0
+            ("0", "128", "255"),  # strings are not numbers
         ],
     )
     def test_invalid_peaks_rejected(self, peaks):
@@ -214,6 +224,16 @@ class TestCombine:
         rng.shuffle(rows)
         base = combine(candidates(*rows), (self.part, self.part), self.part)
         assert base.rules == expected
+
+    @pytest.mark.parametrize(
+        "antecedents, consequents",
+        [([[1.7, 0.2]], [0]), ([[1, 0]], [0.9]), ([[True, False]], [0])],
+        ids=["float-antecedent", "float-consequent", "bool-antecedent"],
+    )
+    def test_non_integer_regions_rejected(self, antecedents, consequents):
+        # [[1.7, 0.2]] was truncated to [[1, 0]] and learned as a rule
+        with pytest.raises(ValueError):
+            RuleCandidates(antecedents=antecedents, consequents=consequents, degrees=[1.0])
 
     def test_nan_degree_never_wins(self):
         rules = candidates(((1,), 0, float("nan")), ((1,), 2, 0.5))
@@ -353,6 +373,9 @@ class TestRuleBaseJson:
             '5',  # rule not an object
             '[[1, 0], 0, 0.5]',  # rule as a list
             '{"antecedent": [1, 0], "degree": 0.5}',  # no consequent
+            '{"antecedent": [[1], 0], "consequent": 0, "degree": 0.5}',  # nested region
+            '{"antecedent": [1, 0], "consequent": 0, "degree": 0.5},'
+            ' {"antecedent": [1, 0], "consequent": 1, "degree": 0.9}',  # one antecedent twice
         ],
     )
     def test_invalid_rule_rejected(self, rule):
@@ -363,6 +386,41 @@ class TestRuleBaseJson:
         )
         with pytest.raises(ValueError):
             RuleBase.from_json_text(text)
+
+
+class TestRuleBaseChecks:
+    two = FuzzyPartition((0.0, 255.0))
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            {(1.0, 1): (1, 0.5)},
+            {(True, 1): (1, 0.5)},
+            {(1, 1): (1.0, 0.5)},
+            {(1, 1): (1, True)},
+            {(1, 1): (1, "0.5")},
+            {(1, 1): (1, float("nan"))},
+        ],
+        ids=["float-region", "bool-region", "float-consequent", "bool-degree", "str-degree",
+             "nan-degree"],
+    )
+    def test_rule_value_types_rejected(self, rules):
+        with pytest.raises(ValueError):
+            RuleBase(rules=rules, in_partitions=(self.two, self.two), out_partition=self.two)
+
+    def test_partitions_must_be_fuzzy_partitions(self):
+        with pytest.raises(ValueError):
+            RuleBase(rules={}, in_partitions=((0.0, 255.0),), out_partition=self.two)
+
+    def test_numpy_rules_stored_as_python_values(self):
+        base = RuleBase(
+            rules={(np.int64(1), np.int64(0)): (np.int64(1), np.float64(0.5))},
+            in_partitions=(self.two, self.two),
+            out_partition=self.two,
+        )
+        ((antecedent, (consequent, degree)),) = base.rules.items()
+        assert [type(v) for v in (*antecedent, consequent, degree)] == [int, int, int, float]
+        assert RuleBase.from_json_text(base.to_json_text()) == base
 
 
 class TestDefuzzRange:

@@ -7,7 +7,6 @@ from grayfuzz.thresholding import (
     ThresholdFailure,
     ThresholdMethod,
     compute_threshold,
-    fuse_feature_level,
     threshold_report,
 )
 
@@ -116,11 +115,6 @@ class TestReport:
         assert len(lines) == 16
         assert lines[1].startswith("Default,")
 
-    def test_json_round_values(self):
-        payload = threshold_report(uniform_hist()).to_json_dict()
-        assert set(payload) == {m.value for m in METHOD_ORDER}
-        assert payload["Mean"]["status"] == "converged"
-
 
 class TestOracleAgreement:
     def test_criterion_methods_match_bruteforce(self):
@@ -197,19 +191,6 @@ class TestFusion:
             else:
                 out[method] = ThresholdEntry(level=None, status="failed")
         return ThresholdReport(entries=out)
-
-    def test_feature_level_mean(self):
-        assert fuse_feature_level(self._report_with_levels([100, 110, 120])) == 110
-
-    def test_feature_level_singleton(self):
-        assert fuse_feature_level(self._report_with_levels([77])) == 77
-
-    def test_feature_level_round_half_up(self):
-        assert fuse_feature_level(self._report_with_levels([100, 101])) == 101
-
-    def test_feature_level_no_converged(self):
-        with pytest.raises(ValueError):
-            fuse_feature_level(self._report_with_levels([]))
 
     def test_majority_unanimity_and_ties(self):
         # fifteen converged levels 10..24; pixels around them
