@@ -62,7 +62,7 @@ class TestBuildPartition:
         "anchors", [[float("nan")], [True, 100.0], ["100"]], ids=["nan", "bool", "str"]
     )
     def test_non_real_anchor_rejected(self, anchors):
-        # NaN was dropped without a word, and True anchored a region at 1.0
+        # NaN must not be dropped without a word, nor True anchor a region at 1.0
         with pytest.raises(ValueError):
             build_partition(anchors)
 
@@ -231,7 +231,7 @@ class TestCombine:
         ids=["float-antecedent", "float-consequent", "bool-antecedent"],
     )
     def test_non_integer_regions_rejected(self, antecedents, consequents):
-        # [[1.7, 0.2]] was truncated to [[1, 0]] and learned as a rule
+        # [[1.7, 0.2]] must not be truncated to [[1, 0]] and learned as a rule
         with pytest.raises(ValueError):
             RuleCandidates(antecedents=antecedents, consequents=consequents, degrees=[1.0])
 

@@ -98,7 +98,7 @@ class TestGrayImage:
 
     @pytest.mark.parametrize("pixels", [[True, False], ["1", "0"]], ids=["bool", "str"])
     def test_rejects_non_numeric_dtype(self, pixels):
-        # a bool raster was turned into 0/1
+        # a bool raster must not pass as 0/1
         with pytest.raises(ValueError):
             GrayImage(2, 1, pixels)
 
@@ -164,7 +164,7 @@ class TestHistogram:
         "counts", [np.full(256, 1.5), np.ones(256, dtype=bool)], ids=["float", "bool"]
     )
     def test_non_integer_counts_rejected(self, counts):
-        # 1.5 per bin was truncated to 1
+        # 1.5 per bin must not be truncated to 1
         with pytest.raises(ValueError):
             Histogram(counts=counts, total=256)
 
