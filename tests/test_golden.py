@@ -1,5 +1,5 @@
 """Golden digests: the bytes ``run_single`` and ``run_benchmark`` write for
-small fixed phantoms.  A change that keeps every output bit-identical keeps
+small fixed phantoms, and what ``extract`` returns at the benchmark sizes.  A change that keeps every output bit-identical keeps
 these digests; a change that moves any output must say so and retake them."""
 
 import hashlib
@@ -7,7 +7,14 @@ import hashlib
 import pytest
 
 from grayfuzz.cli import BenchmarkSpec, run_benchmark, run_single
-from grayfuzz.image_core import bimodal_phantom, save_pgm, two_level_phantom
+from grayfuzz.image_core import (
+    NoiseSpec,
+    add_gaussian_noise,
+    bimodal_phantom,
+    save_pgm,
+    two_level_phantom,
+)
+from grayfuzz.pipeline import extract
 
 SCENES = {"bimodal": bimodal_phantom(64, 64), "two_level": two_level_phantom(64, 64)}
 
@@ -54,6 +61,14 @@ METRICS = {
 # sha256 of the CSV of both scenes at sigma 30 and 75, seed 1, every row, --compare restored
 BENCHMARK_CSV = "79c09103a4f7e6a23311c3a22aced97d038a4d8d53bb4e31d686b3d24b1a4174"
 
+# sha256 of extract's raster bytes then its rule-base JSON, bimodal phantom
+# (side x side) at sigma, seed 1: enough keys per (value, sum region) to
+# exercise the reduction before rule learning
+EXTRACT = {
+    (256, 75): "bb01c836e2fc1652863ae0f1d6272e24455b50465675071c2440c71a79622e4a",
+    (1024, 30): "c0a2974364a104ddb16ce15c7edacc1808ac0fd765b209f8f6ad3005ad222d76",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -81,3 +96,11 @@ def test_benchmark_csv(scene_paths):
         images=tuple(str(scene_paths[name]) for name in SCENES), sigmas=(30.0, 75.0), seeds=(1,)
     )
     assert _sha256(run_benchmark(spec).csv_text.encode()) == BENCHMARK_CSV
+
+
+@pytest.mark.parametrize("side, sigma", sorted(EXTRACT))
+def test_extract_at_benchmark_sizes(side, sigma):
+    noisy = add_gaussian_noise(bimodal_phantom(side, side), NoiseSpec(sigma=float(sigma), seed=1))
+    result = extract(noisy)
+    data = result.extracted.pixels.tobytes() + result.rulebase.to_json_text().encode()
+    assert _sha256(data) == EXTRACT[(side, sigma)]
