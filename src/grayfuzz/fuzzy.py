@@ -56,6 +56,8 @@ class FuzzyPartition:
     peaks: Tuple[float, ...]
 
     def __post_init__(self):
+        if np.ndim(self.peaks) != 1:
+            raise ValueError(f"region peaks {self.peaks!r} are not a flat sequence")
         if not all(_is_real(p) for p in self.peaks):
             raise ValueError(f"region peaks {self.peaks!r} are not all real numbers")
         peaks = tuple(float(p) for p in self.peaks)
@@ -207,9 +209,14 @@ class RuleBase:
         partitions = (*self.in_partitions, self.out_partition)
         if not all(isinstance(p, FuzzyPartition) for p in partitions):
             raise ValueError("rule base partitions must be FuzzyPartition values")
+        if not isinstance(self.rules, dict):
+            raise ValueError(f"rules {self.rules!r} are not a dict of antecedent to rule")
         counts = [p.region_count for p in self.in_partitions]
         rules = {}
-        for antecedent, (consequent, degree) in self.rules.items():
+        for antecedent, rule in self.rules.items():
+            if not (isinstance(rule, tuple) and len(rule) == 2):
+                raise ValueError(f"rule {antecedent!r}: {rule!r} is not a (consequent, degree) pair")
+            consequent, degree = rule
             fits = isinstance(antecedent, tuple) and len(antecedent) == len(counts)
             if not (fits and all(_is_int(r) and 0 <= r < n for r, n in zip(antecedent, counts))):
                 raise ValueError(f"rule {antecedent!r}: antecedent does not fit the input partitions")

@@ -9,7 +9,9 @@ converged thresholds covers both input variables; (4) the distinct keys of
 a 1-in-``training_stride`` staggered pixel lattice map those attributes to
 the mean intensity of the pixel's majority-vote class, read from
 ``Histogram.class_means`` at the majority level, so learning needs no clean
-reference; (5) ``apply_rulebase`` then restores every pixel through
+reference; rule learning sees one key per (value, best sum region), the one
+whose sum grade is highest, and learns the same rule base as from them all;
+(5) ``apply_rulebase`` then restores every pixel through
 min/max inference and centroid decoding, rounded half-up, once per
 distinct key.  A pixel whose attributes fire no rule is restored to 0.
 
@@ -180,8 +182,24 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
     seen = np.zeros(256 * _SUM_LEVELS, dtype=bool)
     for phase in range(min(stride, *grid.shape)):
         seen[grid[phase::stride, phase::stride]] = True
-    train_keys = np.flatnonzero(seen)
-    values, sums = np.divmod(train_keys, _SUM_LEVELS)
+    values, sums = np.divmod(np.flatnonzero(seen), _SUM_LEVELS)
+
+    # Keys that share a value and a best sum region share the antecedent
+    # cell, the consequent (the target depends on the value alone) and the
+    # factor out_grade * value_grade, so their degrees differ only by the
+    # sum grade.  IEEE multiplication by a non-negative factor is monotone,
+    # so a key with the top sum grade carries the strongest degree, the one
+    # combine keeps; tied candidates carry equal degrees.  The keys ascend,
+    # so each (value, region) group is one run; its first top key goes on.
+    table = in_partition._best_region(np.arange(_SUM_LEVELS) / float(WINDOW * WINDOW))
+    regions, grades = (column[sums] for column in table)
+    new_run = (np.diff(values, prepend=-1) != 0) | (np.diff(regions, prepend=-1) != 0)
+    starts = np.flatnonzero(new_run)
+    top = np.repeat(np.maximum.reduceat(grades, starts), np.diff(starts, append=grades.size))
+    firsts = np.flatnonzero(grades == top)
+    runs = np.searchsorted(starts, firsts, side="right")  # 1 + run of each top key
+    firsts = firsts[np.diff(runs, prepend=0) > 0]
+    values, sums = values[firsts], sums[firsts]
     targets = np.where(values > level, fg_mean, bg_mean)
     candidates = generate_rules(
         np.stack([values, sums / float(WINDOW * WINDOW)], axis=1),

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .image_core import Histogram, round_half_up
+from .image_core import Histogram, _is_int, round_half_up
 
 __all__ = [
     "ThresholdMethod",
@@ -91,7 +91,8 @@ class ThresholdFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdEntry:
-    """A converged entry carries a level in [0, 255]; a failed one carries none."""
+    """A converged entry carries an integer level in [0, 255], stored as a
+    Python ``int``; a failed one carries none."""
 
     level: Optional[int]
     status: str  # "converged" | "failed"
@@ -101,9 +102,10 @@ class ThresholdEntry:
             raise ValueError(f"status {self.status!r} is neither 'converged' nor 'failed'")
         if self.status == "failed" and self.level is not None:
             raise ValueError(f"failed entry carries level {self.level!r}")
-        # exact type: bool is an int subclass
-        if self.status == "converged" and not (type(self.level) is int and 0 <= self.level <= 255):
-            raise ValueError(f"converged level {self.level!r} is not an integer in [0, 255]")
+        if self.status == "converged":
+            if not (_is_int(self.level) and 0 <= self.level <= 255):
+                raise ValueError(f"converged level {self.level!r} is not an integer in [0, 255]")
+            object.__setattr__(self, "level", int(self.level))
 
 
 @dataclass(frozen=True)

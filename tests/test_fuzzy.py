@@ -90,6 +90,7 @@ class TestFuzzyPartition:
             (0.0, 100.0),  # last peak is not 255
             (0, True, 255),  # a bool is not a peak at 1.0
             ("0", "128", "255"),  # strings are not numbers
+            5,  # not a sequence of peaks
         ],
     )
     def test_invalid_peaks_rejected(self, peaks):
@@ -400,9 +401,11 @@ class TestRuleBaseChecks:
             {(1, 1): (1, True)},
             {(1, 1): (1, "0.5")},
             {(1, 1): (1, float("nan"))},
+            {(1, 1): 1},
+            [],
         ],
         ids=["float-region", "bool-region", "float-consequent", "bool-degree", "str-degree",
-             "nan-degree"],
+             "nan-degree", "bare-consequent", "rules-as-list"],
     )
     def test_rule_value_types_rejected(self, rules):
         with pytest.raises(ValueError):

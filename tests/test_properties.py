@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from grayfuzz.fuzzy import FuzzyPartition, RuleBase
+from grayfuzz.fuzzy import FuzzyPartition, RuleBase, build_partition
 from grayfuzz.image_core import GrayImage
-from grayfuzz.pipeline import apply_rulebase, extract
+from grayfuzz.pipeline import WINDOW, PipelineConfig, apply_rulebase, extract
 from grayfuzz.thresholding import (
     METHOD_ORDER,
     ThresholdEntry,
@@ -31,6 +31,18 @@ def images(draw, max_side=8):
     low = draw(st.integers(0, 255))
     high = draw(st.integers(low, 255))
     pixels = draw(st.lists(st.integers(low, high), min_size=width * height, max_size=width * height))
+    return GrayImage(width, height, pixels)
+
+
+@st.composite
+def few_valued_images(draw, max_side=8):
+    """Images over 2-4 distinct values: many training keys share a value and
+    a best sum region."""
+    alphabet = draw(st.lists(st.integers(0, 255), min_size=2, max_size=4, unique=True))
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    size = width * height
+    pixels = draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size))
     return GrayImage(width, height, pixels)
 
 
@@ -85,6 +97,34 @@ def test_learned_rulebase_replay_matches_per_pixel(noisy):
     assert (restored, no_rule) == (r.extracted, r.no_rule_pixels)
     loaded = RuleBase.from_json_text(r.rulebase.to_json_text())
     assert apply_rulebase(loaded, noisy) == (r.extracted, r.no_rule_pixels)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@reproducible
+@given(few_valued_images())
+# Tied sum grades: at value 176 the window means 99 - 8.56 and 99 + 8.56 both
+# fall in the learned sum region peaking at 99, whose sides are equal.
+@example(GrayImage(3, 3, [22, 176, 99, 99, 99, 22, 22, 176, 176]))
+def test_rules_match_lattice_bruteforce_with_tied_grades(stride, noisy):
+    cfg = PipelineConfig(training_stride=stride)
+    result = extract(noisy, cfg)
+    assume(not result.degenerate)
+    levels = result.report.converged_levels()
+    pixels = noisy.pixels.tolist()
+    fg = oracles.majority_vote(pixels, levels).tolist()
+    assert (noisy.pixels > result.level).tolist() == fg
+    bg_mean, fg_mean = oracles.class_means(noisy, result.level)
+    in_part = build_partition([float(t) for t in levels], cfg.min_regions)
+    out_part = build_partition(sorted({bg_mean, fg_mean}), cfg.min_regions)
+    window = oracles.window_means(noisy, WINDOW)
+    w = noisy.width
+    pairs = {
+        ((float(pixels[i]), window[i]), fg_mean if fg[i] else bg_mean)
+        for i in range(len(pixels))
+        if (i % w - i // w) % stride == 0
+    }
+    expected = oracles.wang_mendel_bruteforce(sorted(pairs), (in_part, in_part), out_part)
+    assert result.rulebase.rules == expected
 
 
 @reproducible

@@ -207,7 +207,8 @@ class TestFusion:
             (None, "converged"),
             (2.5, "converged"),
             (True, "converged"),
-            (np.int64(100), "converged"),
+            # np.float64 subclasses float, so without an id pytest would name it 100.0
+            pytest.param(np.float64(100.0), "converged", id="level3-converged"),
             (-1, "converged"),
             (256, "converged"),
             (100, "failed"),
@@ -220,4 +221,10 @@ class TestFusion:
 
         with pytest.raises(ValueError):
             ThresholdEntry(level=level, status=status)
+
+    def test_numpy_integer_level_stored_as_int(self):
+        from grayfuzz.thresholding import ThresholdEntry
+
+        level = ThresholdEntry(np.int64(100), "converged").level
+        assert type(level) is int and level == 100
 
