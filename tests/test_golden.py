@@ -1,6 +1,7 @@
 """Golden digests: the bytes ``run_single`` and ``run_benchmark`` write for
-small fixed phantoms, and what ``extract`` returns at the benchmark sizes.  A change that keeps every output bit-identical keeps
-these digests; a change that moves any output must say so and retake them."""
+small fixed phantoms, and what ``extract`` returns at the benchmark sizes.
+A change that keeps every output bit-identical keeps these digests; a
+change that moves any output must say so and retake them."""
 
 import hashlib
 

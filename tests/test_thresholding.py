@@ -227,4 +227,3 @@ class TestFusion:
 
         level = ThresholdEntry(np.int64(100), "converged").level
         assert type(level) is int and level == 100
-
