@@ -45,7 +45,6 @@ from .fuzzy import (
 )
 from .pipeline import (
     ExtractionResult,
-    PipelineConfig,
     apply_rulebase,
     extract,
 )

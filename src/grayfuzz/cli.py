@@ -38,7 +38,7 @@ from .image_core import (
     save_pgm,
 )
 from .metrics import SplitCensus, compare, format_metric
-from .pipeline import PipelineConfig, extract
+from .pipeline import extract
 from .thresholding import METHOD_ORDER, threshold_report
 
 __all__ = [
@@ -73,6 +73,13 @@ class BenchmarkSpec:
     compare_mode: str = "restored"
 
     def __post_init__(self):
+        # a bare string would otherwise be read as one name per character
+        for name in ("images", "sigmas", "seeds", "methods"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple, not {value!r}")
+        if not all(isinstance(path, str) for path in self.images):
+            raise ValueError(f"images must be path strings, not {self.images!r}")
         if not self.images:
             raise ValueError("benchmark needs at least one image")
         if not self.sigmas:
@@ -112,12 +119,12 @@ def _row_labels(spec: BenchmarkSpec) -> List[str]:
     return labels
 
 
-def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -> BenchmarkResult:
+def run_benchmark(spec: BenchmarkSpec) -> BenchmarkResult:
     """Build the Table-style CSV matrix (rows = methods, columns = sigmas).
 
-    Fully deterministic: cell layout and values depend only on the spec and
-    config.  A method that fails on every (image, seed) sample of a column
-    reports "n/a" there and the run continues.
+    Fully deterministic: cell layout and values depend only on the spec.  A
+    method that fails on every (image, seed) sample of a column reports
+    "n/a" there and the run continues.
     """
     images = [(path, load_image(path)) for path in spec.images]
     labels = _row_labels(spec)
@@ -133,7 +140,7 @@ def run_benchmark(spec: BenchmarkSpec, cfg: PipelineConfig = PipelineConfig()) -
         for sigma in spec.sigmas:
             for seed in spec.seeds:
                 noisy = add_gaussian_noise(clean, NoiseSpec(sigma=sigma, seed=seed))
-                result = extract(noisy, cfg) if want_proposed else None
+                result = extract(noisy) if want_proposed else None
                 # extract builds its report from the same histogram by the same call
                 report = result.report if result is not None else threshold_report(histogram(noisy))
                 census = SplitCensus(noisy, clean)
@@ -176,7 +183,6 @@ def run_single(
     sigma: float,
     seed: int,
     out_dir: str,
-    cfg: PipelineConfig = PipelineConfig(),
     compare_mode: str = "restored",
 ) -> SingleRunResult:
     """Corrupt, extract, and write the five artifacts into out_dir."""
@@ -184,7 +190,7 @@ def run_single(
         raise ValueError(f"compare mode must be one of {COMPARE_MODES}")
     clean = load_image(input_path)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma=sigma, seed=seed))
-    result = extract(noisy, cfg)
+    result = extract(noisy)
     if compare_mode == "binarized-means":
         scored = SplitCensus(noisy, clean).score(result.level)
     else:
@@ -242,10 +248,6 @@ def _build_parser() -> _Parser:
     single.add_argument("--sigma", type=float, default=15.0, help="noise std-dev")
     single.add_argument("--seed", type=int, default=1, help="noise PRNG seed")
     single.add_argument("--out-dir", required=True, help="directory for artifacts")
-    single.add_argument("--regions", type=int, default=PipelineConfig.min_regions,
-                        help="minimum fuzzy regions")
-    single.add_argument("--stride", type=int, default=PipelineConfig.training_stride,
-                        help="training subsample stride")
     single.add_argument("--compare", choices=COMPARE_MODES, default="restored")
     single.add_argument("--strict", action="store_true",
                         help="exit 3 when the input degenerates")
@@ -258,8 +260,6 @@ def _build_parser() -> _Parser:
     bench.add_argument("--seed", action="append", type=int, default=None,
                        help="noise seed (repeatable)")
     bench.add_argument("--methods", help="comma list of rows (method names and 'proposed')")
-    bench.add_argument("--regions", type=int, default=None)
-    bench.add_argument("--stride", type=int, default=None)
     bench.add_argument("--compare", choices=COMPARE_MODES, default=None)
     bench.add_argument("--out-dir", help="directory for the CSV (with --csv name)")
     bench.add_argument("--csv", help="CSV output path (stdout when omitted)")
@@ -276,8 +276,6 @@ _CONFIG_TYPES = {
     "seeds": (list, int, "a list of integers"),
     "methods": (list, str, "a list of method names"),
     "compare": (str, None, "a string"),
-    "regions": (int, None, "an integer"),
-    "stride": (int, None, "an integer"),
     "csv": (str, None, "a string"),
     "out_dir": (str, None, "a string"),
 }
@@ -311,12 +309,10 @@ def _load_config(path: str) -> dict:
 def _cmd_single(args) -> int:
     try:
         NoiseSpec(sigma=args.sigma, seed=args.seed)
-        cfg = PipelineConfig(min_regions=args.regions, training_stride=args.stride)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     result = run_single(
-        args.input, args.sigma, args.seed, args.out_dir,
-        cfg=cfg, compare_mode=args.compare,
+        args.input, args.sigma, args.seed, args.out_dir, compare_mode=args.compare,
     )
     for path in result.files:
         print(path)
@@ -338,23 +334,20 @@ def _cmd_benchmark(args) -> int:
     else:
         methods = tuple(config.get("methods", BenchmarkSpec.methods))
     compare_mode = args.compare or config.get("compare", BenchmarkSpec.compare_mode)
-    regions = (args.regions if args.regions is not None
-               else config.get("regions", PipelineConfig.min_regions))
-    stride = (args.stride if args.stride is not None
-              else config.get("stride", PipelineConfig.training_stride))
     csv_path = args.csv or config.get("csv")
     out_dir = args.out_dir or config.get("out_dir")
+    if out_dir and not csv_path:
+        raise _UsageError("an output directory needs a CSV name (--csv or config key 'csv')")
 
     try:
         spec = BenchmarkSpec(
             images=images, sigmas=sigmas, seeds=seeds,
             methods=methods, compare_mode=compare_mode,
         )
-        cfg = PipelineConfig(min_regions=regions, training_stride=stride)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
-    result = run_benchmark(spec, cfg)
+    result = run_benchmark(spec)
     if csv_path:
         target = Path(out_dir) / csv_path if out_dir else Path(csv_path)
         target.parent.mkdir(parents=True, exist_ok=True)

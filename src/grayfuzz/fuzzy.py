@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -197,11 +199,11 @@ class RuleBase:
     """Conflict-resolved rule collection plus the partitions it was built
     against; immutable, safe for concurrent read-only inference.  Every rule
     names one integer region per input partition and an integer output
-    region, with a real degree in (0, 1]; the rules are stored as Python
-    ``int`` and ``float``, so ``to_json_text`` always writes what
-    ``from_json_text`` reads back."""
+    region, with a real degree in (0, 1]; the rules are stored, read-only, as
+    Python ``int`` and ``float``, so ``to_json_text`` always writes what
+    ``from_json_text`` reads back.  Rule bases hash and pickle by value."""
 
-    rules: Dict[Tuple[int, ...], Tuple[int, float]]
+    rules: Mapping[Tuple[int, ...], Tuple[int, float]]
     in_partitions: Tuple[FuzzyPartition, ...]
     out_partition: FuzzyPartition
 
@@ -209,8 +211,8 @@ class RuleBase:
         partitions = (*self.in_partitions, self.out_partition)
         if not all(isinstance(p, FuzzyPartition) for p in partitions):
             raise ValueError("rule base partitions must be FuzzyPartition values")
-        if not isinstance(self.rules, dict):
-            raise ValueError(f"rules {self.rules!r} are not a dict of antecedent to rule")
+        if not isinstance(self.rules, Mapping):
+            raise ValueError(f"rules {self.rules!r} are not a mapping of antecedent to rule")
         counts = [p.region_count for p in self.in_partitions]
         rules = {}
         for antecedent, rule in self.rules.items():
@@ -225,7 +227,14 @@ class RuleBase:
             if not (_is_real(degree) and 0.0 < degree <= 1.0):
                 raise ValueError(f"rule {antecedent!r}: degree {degree!r} is not a real in (0, 1]")
             rules[tuple(int(region) for region in antecedent)] = (int(consequent), float(degree))
-        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "rules", MappingProxyType(rules))
+        object.__setattr__(self, "in_partitions", tuple(self.in_partitions))
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.rules.items()), self.in_partitions, self.out_partition))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return type(self), (dict(self.rules), self.in_partitions, self.out_partition)
 
     def __len__(self) -> int:
         return len(self.rules)

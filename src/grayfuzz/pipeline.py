@@ -5,18 +5,19 @@ Stages, in order: (1) histogram and the fifteen-threshold report; (2) pixel
 attributes - each pixel carries its own intensity and the mean of its
 clamp-padded square neighbourhood, both exact in one integer key,
 ``value * 2296 + window_sum``; (3) an anchor partition built from the
-converged thresholds covers both input variables; (4) the distinct keys of
-a 1-in-``training_stride`` staggered pixel lattice map those attributes to
-the mean intensity of the pixel's majority-vote class, read from
-``Histogram.class_means`` at the majority level, so learning needs no clean
-reference; rule learning sees one key per (value, best sum region), the one
-whose sum grade is highest, and learns the same rule base as from them all;
-(5) ``apply_rulebase`` then restores every pixel through
-min/max inference and centroid decoding, rounded half-up, once per
-distinct key.  A pixel whose attributes fire no rule is restored to 0.
+converged thresholds, with at least ``MIN_REGIONS`` regions, covers both
+input variables; (4) the distinct keys of a 1-in-``TRAINING_STRIDE``
+staggered pixel lattice map those attributes to the mean intensity of the
+pixel's majority-vote class, read from ``Histogram.class_means`` at the
+majority level, so learning needs no clean reference; rule learning sees one
+key per (value, best sum region), the one whose sum grade is highest, and
+learns the same rule base as from them all; (5) ``apply_rulebase`` then
+restores every pixel through min/max inference and centroid decoding,
+rounded half-up, once per distinct key.  A pixel whose attributes fire no
+rule is restored to 0.
 
-The whole path is deterministic: a fixed (image, config) always produces a
-bit-identical result.
+The whole path is deterministic and takes no settings: a fixed image always
+produces a bit-identical result.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .fuzzy import RuleBase, build_partition, combine, generate_rules
-from .image_core import GrayImage, _is_int, histogram, round_half_up
+from .image_core import GrayImage, histogram, round_half_up
 from .thresholding import ThresholdReport, threshold_report
 
 __all__ = [
-    "PipelineConfig",
     "ExtractionResult",
+    "MIN_REGIONS",
+    "TRAINING_STRIDE",
     "WINDOW",
     "apply_rulebase",
     "extract",
@@ -40,22 +42,9 @@ __all__ = [
 
 
 WINDOW = 3  # side of the square neighbourhood behind each pixel's mean attribute
+MIN_REGIONS = 7  # fewest fuzzy regions in the input and output partitions
+TRAINING_STRIDE = 4  # one training pixel in TRAINING_STRIDE, on a staggered lattice
 _SUM_LEVELS = 255 * WINDOW * WINDOW + 1  # window sums run over 0..2295
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """The two freedoms the method leaves open: the minimum number of fuzzy
-    regions per partition and the 1-in-``training_stride`` training lattice."""
-
-    min_regions: int = 7
-    training_stride: int = 4
-
-    def __post_init__(self):
-        if not _is_int(self.min_regions) or self.min_regions < 3:
-            raise ValueError("min_regions must be an integer of at least 3")
-        if not _is_int(self.training_stride) or self.training_stride < 1:
-            raise ValueError("training_stride must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -145,8 +134,9 @@ def apply_rulebase(base: RuleBase, image: GrayImage) -> Tuple[GrayImage, int]:
     return GrayImage(image.width, image.height, levels), no_rule
 
 
-def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> ExtractionResult:
-    """Restore a noisy gray image without any external reference.
+def extract(noisy: GrayImage) -> ExtractionResult:
+    """Restore a noisy gray image from the image alone: no clean reference
+    and no settings.
 
     A single-intensity input cannot be thresholded; it comes back unchanged
     with the degenerate flag set.  Pixels whose attribute combination fires
@@ -167,18 +157,18 @@ def extract(noisy: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> Extract
 
     level = report.majority_level()
     anchors = [float(t) for t in report.converged_levels()]
-    in_partition = build_partition(anchors, cfg.min_regions)
+    in_partition = build_partition(anchors, MIN_REGIONS)
     in_partitions = (in_partition, in_partition)
     bg_mean, fg_mean = hist.class_means(level)
-    out_partition = build_partition(sorted({bg_mean, fg_mean}), cfg.min_regions)
+    out_partition = build_partition(sorted({bg_mean, fg_mean}), MIN_REGIONS)
 
-    # Training lattice: (column - row) % stride == 0.  The stagger keeps the
-    # 1-in-stride budget while covering all columns even when the width is a
-    # multiple of the stride.  It is the union of one strided grid per phase
-    # (phases past either side are empty); a table over all keys lists its
-    # distinct keys in ascending order.
+    # Training lattice: (column - row) % TRAINING_STRIDE == 0.  The stagger
+    # keeps the 1-in-stride budget while covering all columns even when the
+    # width is a multiple of the stride.  It is the union of one strided grid
+    # per phase (phases past either side are empty); a table over all keys
+    # lists its distinct keys in ascending order.
     keys = _pixel_keys(noisy)
-    grid, stride = keys.reshape(noisy.height, noisy.width), cfg.training_stride
+    grid, stride = keys.reshape(noisy.height, noisy.width), TRAINING_STRIDE
     seen = np.zeros(256 * _SUM_LEVELS, dtype=bool)
     for phase in range(min(stride, *grid.shape)):
         seen[grid[phase::stride, phase::stride]] = True

@@ -19,7 +19,7 @@ from grayfuzz.image_core import (
     histogram,
 )
 from grayfuzz.metrics import compare
-from grayfuzz.pipeline import PipelineConfig, extract
+from grayfuzz.pipeline import extract
 from grayfuzz.thresholding import (
     ThresholdFailure,
     ThresholdMethod,
@@ -155,7 +155,7 @@ def test_criterion_5_noise_statistics():
 
 
 def test_criterion_6_two_class_fidelity(two_level_image_40_210):
-    result = extract(two_level_image_40_210, PipelineConfig())
+    result = extract(two_level_image_40_210)
     values = sorted(set(result.extracted.pixels.tolist()))
     record = compare(result.extracted, two_level_image_40_210)
     ok = (
@@ -170,7 +170,7 @@ def test_criterion_6_two_class_fidelity(two_level_image_40_210):
 def test_criterion_7_directional_benchmark(bench_images):
     spec = BenchmarkSpec(images=bench_images, seeds=(1, 2, 3))
     start = time.perf_counter()
-    result = run_benchmark(spec, PipelineConfig())
+    result = run_benchmark(spec)
     elapsed = time.perf_counter() - start
 
     lines = [line.split(",") for line in result.csv_text.strip().split("\n")]
@@ -211,8 +211,8 @@ def test_criterion_7_directional_benchmark(bench_images):
 
 def test_criterion_8_benchmark_determinism(phantom_path):
     spec = BenchmarkSpec(images=(phantom_path,), sigmas=(15.0, 60.0), seeds=(1, 2))
-    first = run_benchmark(spec, PipelineConfig())
-    second = run_benchmark(spec, PipelineConfig())
+    first = run_benchmark(spec)
+    second = run_benchmark(spec)
     ok = first.csv_text.encode() == second.csv_text.encode()
     _verdict(8, ok, "run_benchmark twice with one spec: byte-identical CSV")
 

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from grayfuzz.image_core import (
     two_level_phantom,
 )
 from grayfuzz import cli
-from grayfuzz.pipeline import PipelineConfig
 
 
 def test_every_export_resolves():
@@ -129,10 +129,10 @@ class TestInternalFault:
     def test_bad_arguments_still_usage_errors(self, small_pgm, tmp_path):
         assert main(["single", "--input", str(small_pgm), "--sigma", "nan",
                      "--out-dir", str(tmp_path / "out")]) == 1
-        assert main(["single", "--input", str(small_pgm), "--regions", "2",
+        assert main(["single", "--input", str(small_pgm), "--sigma", "-1",
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert main(["benchmark", "--input", str(small_pgm), "--sigma", "nan"]) == 1
-        assert main(["benchmark", "--input", str(small_pgm), "--stride", "0"]) == 1
+        assert main(["benchmark", "--input", str(small_pgm), "--seed", "-2"]) == 1
 
 
 class TestBenchmark:
@@ -147,12 +147,23 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             BenchmarkSpec(images=("never-loaded.pgm",), sigmas=sigmas, seeds=seeds)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"images": "phantom.pgm"}, "images"),
+         ({"images": (Path("phantom.pgm"),)}, "images"),
+         ({"images": ("phantom.pgm",), "methods": "Otsu"}, "methods"),
+         ({"images": ("phantom.pgm",), "seeds": 1}, "seeds")],
+    )
+    def test_malformed_sequence_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            BenchmarkSpec(**kwargs)
+
     def test_samples_per_cell(self, tmp_path):
         flat = tmp_path / "flat.pgm"
         flat.write_bytes(save_pgm(GrayImage(16, 16, np.full(256, 50, dtype=np.uint8))))
         spec = BenchmarkSpec(images=(str(flat),), sigmas=(0.0, 20.0), seeds=(1, 2),
                              methods=("Otsu", "Mean", "proposed"))
-        samples = run_benchmark(spec, PipelineConfig()).samples
+        samples = run_benchmark(spec).samples
         # Otsu fails on the flat image at sigma 0 only
         assert samples == {
             ("Mean", 0.0): 2, ("Mean", 20.0): 2,
@@ -167,7 +178,7 @@ class TestBenchmark:
 
     def test_csv_header_and_rows(self, small_pgm):
         spec = BenchmarkSpec(images=(str(small_pgm),), sigmas=DEFAULT_SIGMAS, seeds=(1,))
-        result = run_benchmark(spec, PipelineConfig())
+        result = run_benchmark(spec)
         lines = result.csv_text.strip().split("\n")
         assert lines[0] == "method,15,30,45,60,75"
         assert len(lines) == 17  # header + 15 methods + proposed
@@ -175,8 +186,8 @@ class TestBenchmark:
 
     def test_deterministic_csv(self, small_pgm):
         spec = BenchmarkSpec(images=(str(small_pgm),), sigmas=(15.0, 45.0), seeds=(1, 2))
-        a = run_benchmark(spec, PipelineConfig())
-        b = run_benchmark(spec, PipelineConfig())
+        a = run_benchmark(spec)
+        b = run_benchmark(spec)
         assert a.csv_text == b.csv_text
 
     def test_method_subset_rows(self, small_pgm):
@@ -184,13 +195,13 @@ class TestBenchmark:
             images=(str(small_pgm),), sigmas=(15.0,), seeds=(1,),
             methods=("Otsu", "Mean", "proposed"),
         )
-        lines = run_benchmark(spec, PipelineConfig()).csv_text.strip().split("\n")
+        lines = run_benchmark(spec).csv_text.strip().split("\n")
         assert [l.split(",")[0] for l in lines[1:]] == ["Mean", "Otsu", PROPOSED_ROW]
         # without the proposed row the threshold report is built apart from extract
         alone = BenchmarkSpec(
             images=(str(small_pgm),), sigmas=(15.0,), seeds=(1,), methods=("Otsu", "Mean"),
         )
-        assert run_benchmark(alone, PipelineConfig()).csv_text.strip().split("\n") == lines[:-1]
+        assert run_benchmark(alone).csv_text.strip().split("\n") == lines[:-1]
 
     def test_inf_cell_for_exact_reconstruction(self, tmp_path):
         # sigma 0 on a clean two-level image: the pipeline restores it exactly
@@ -198,7 +209,7 @@ class TestBenchmark:
         path.write_bytes(save_pgm(two_level_phantom(64, 64)))
         spec = BenchmarkSpec(images=(str(path),), sigmas=(0.0,), seeds=(1,),
                              methods=("proposed",))
-        lines = run_benchmark(spec, PipelineConfig()).csv_text.strip().split("\n")
+        lines = run_benchmark(spec).csv_text.strip().split("\n")
         assert lines[0] == "method,0"
         assert lines[1] == f"{PROPOSED_ROW},inf"
 
@@ -232,8 +243,8 @@ class TestBenchmark:
         [
             {"images": "abc.pgm"},
             {"sigmas": ["15"]},
-            {"regions": "7"},
-            {"stride": True},
+            {"csv": 7},
+            {"seeds": [True]},
         ],
     )
     def test_config_value_type_usage_error(self, config, tmp_path, capsys):
@@ -242,10 +253,28 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
-    def test_unknown_config_key_usage_error(self, small_pgm, tmp_path):
+    def test_unknown_config_key_usage_error(self, small_pgm, tmp_path, capsys):
+        # the method fixes regions and stride; neither is a config key
+        for key, value in (("bogus", 1), ("regions", 7), ("stride", 4)):
+            cfg_path = tmp_path / "bench.json"
+            cfg_path.write_text(json.dumps({"images": [str(small_pgm)], key: value}))
+            assert main(["benchmark", "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err.startswith("usage error: unknown config keys")
+
+    def test_out_dir_without_csv_usage_error(self, small_pgm, tmp_path, capsys):
         cfg_path = tmp_path / "bench.json"
-        cfg_path.write_text(json.dumps({"images": [str(small_pgm)], "bogus": 1}))
-        assert main(["benchmark", "--config", str(cfg_path)]) == 1
+        cfg_path.write_text(json.dumps({"images": [str(small_pgm)], "out_dir": str(tmp_path)}))
+        for argv in (["--input", str(small_pgm), "--out-dir", str(tmp_path)],
+                     ["--config", str(cfg_path)]):
+            assert main(["benchmark", "--sigma", "15", *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("usage error:") and captured.out == ""
+
+    def test_out_dir_joins_csv_name(self, small_pgm, tmp_path):
+        code = main(["benchmark", "--input", str(small_pgm), "--sigma", "15",
+                     "--out-dir", str(tmp_path / "out"), "--csv", "matrix.csv"])
+        assert code == 0
+        assert (tmp_path / "out" / "matrix.csv").read_text().startswith("method,15\n")
 
     def test_no_images_usage_error(self):
         assert main(["benchmark"]) == 1
@@ -262,8 +291,14 @@ class TestUsage:
     def test_no_subcommand(self):
         assert main([]) == 1
 
-    def test_unknown_flag(self, small_pgm):
+    def test_unknown_flag(self, small_pgm, tmp_path, capsys):
         assert main(["single", "--input", str(small_pgm), "--bogus"]) == 1
+        # the method fixes regions and stride; neither is a flag
+        for flag, value in (("--regions", "7"), ("--stride", "4")):
+            for argv in (["single", "--out-dir", str(tmp_path / "out")], ["benchmark"]):
+                capsys.readouterr()
+                assert main([*argv, "--input", str(small_pgm), flag, value]) == 1
+                assert capsys.readouterr().err.startswith("usage error:")
 
 
 class TestCompareModes:
@@ -281,7 +316,7 @@ class TestCompareModes:
         alt = BenchmarkSpec(images=(str(small_pgm),), sigmas=(30.0,), seeds=(1,),
                             compare_mode="binarized-means")
         row = lambda res: res.csv_text.strip().split("\n")[-1]
-        a, b = run_benchmark(base, PipelineConfig()), run_benchmark(alt, PipelineConfig())
+        a, b = run_benchmark(base), run_benchmark(alt)
         assert row(a).startswith(PROPOSED_ROW) and row(b).startswith(PROPOSED_ROW)
         assert row(a) != row(b)
         # single-method rows unaffected by the proposed compare mode
@@ -293,7 +328,7 @@ class TestNaCells:
         flat = tmp_path / "flat.pgm"
         flat.write_bytes(save_pgm(GrayImage(16, 16, np.full(256, 50, dtype=np.uint8))))
         spec = BenchmarkSpec(images=(str(flat),), sigmas=(0.0,), seeds=(1,))
-        lines = run_benchmark(spec, PipelineConfig()).csv_text.strip().split("\n")
+        lines = run_benchmark(spec).csv_text.strip().split("\n")
         cells = {l.split(",")[0]: l.split(",")[1] for l in lines[1:]}
         assert cells["Otsu"] == "n/a"
         assert cells["Mean"] != "n/a"

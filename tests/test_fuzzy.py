@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -424,6 +426,21 @@ class TestRuleBaseChecks:
         ((antecedent, (consequent, degree)),) = base.rules.items()
         assert [type(v) for v in (*antecedent, consequent, degree)] == [int, int, int, float]
         assert RuleBase.from_json_text(base.to_json_text()) == base
+
+    def test_rules_read_only(self):
+        base = RuleBase({(1, 1): (1, 0.5)}, (self.two, self.two), self.two)
+        with pytest.raises(TypeError):
+            base.rules[(0, 0)] = (0, 1.0)
+        assert dict(base.rules) == {(1, 1): (1, 0.5)}
+
+    def test_hash_by_value(self):
+        a = RuleBase({(1, 1): (1, 0.5), (0, 1): (0, 1.0)}, (self.two, self.two), self.two)
+        b = RuleBase({(0, 1): (0, 1.0), (1, 1): (1, 0.5)}, (self.two, self.two), self.two)
+        assert a == b and hash(a) == hash(b)
+        listed = RuleBase(dict(a.rules), [self.two, self.two], self.two)
+        assert listed == a and hash(listed) == hash(a)
+        assert hash(RuleBase.from_json_text(a.to_json_text())) == hash(a)
+        assert dataclasses.replace(a) == a
 
 
 class TestDefuzzRange:

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from grayfuzz.fuzzy import FuzzyPartition, RuleBase, build_partition
 from grayfuzz.image_core import GrayImage
-from grayfuzz.pipeline import WINDOW, PipelineConfig, apply_rulebase, extract
+from grayfuzz.pipeline import MIN_REGIONS, TRAINING_STRIDE, WINDOW, apply_rulebase, extract
 from grayfuzz.thresholding import (
     METHOD_ORDER,
     ThresholdEntry,
@@ -99,29 +99,32 @@ def test_learned_rulebase_replay_matches_per_pixel(noisy):
     assert apply_rulebase(loaded, noisy) == (r.extracted, r.no_rule_pixels)
 
 
-@pytest.mark.parametrize("stride", [1, 4])
 @reproducible
 @given(few_valued_images())
 # Tied sum grades: at value 176 the window means 99 - 8.56 and 99 + 8.56 both
 # fall in the learned sum region peaking at 99, whose sides are equal.
 @example(GrayImage(3, 3, [22, 176, 99, 99, 99, 22, 22, 176, 176]))
-def test_rules_match_lattice_bruteforce_with_tied_grades(stride, noisy):
-    cfg = PipelineConfig(training_stride=stride)
-    result = extract(noisy, cfg)
+# A side shorter than TRAINING_STRIDE leaves some lattice phases empty.
+@example(GrayImage(2, 1, [30, 220]))
+@example(GrayImage(1, 5, [200, 15, 200, 15, 15]))
+@example(GrayImage(3, 2, [10, 240, 10, 240, 240, 10]))
+@example(GrayImage(3, 7, [60, 60, 180] * 7))
+def test_rules_match_lattice_bruteforce_with_tied_grades(noisy):
+    result = extract(noisy)
     assume(not result.degenerate)
     levels = result.report.converged_levels()
     pixels = noisy.pixels.tolist()
     fg = oracles.majority_vote(pixels, levels).tolist()
     assert (noisy.pixels > result.level).tolist() == fg
     bg_mean, fg_mean = oracles.class_means(noisy, result.level)
-    in_part = build_partition([float(t) for t in levels], cfg.min_regions)
-    out_part = build_partition(sorted({bg_mean, fg_mean}), cfg.min_regions)
+    in_part = build_partition([float(t) for t in levels], MIN_REGIONS)
+    out_part = build_partition(sorted({bg_mean, fg_mean}), MIN_REGIONS)
     window = oracles.window_means(noisy, WINDOW)
     w = noisy.width
     pairs = {
         ((float(pixels[i]), window[i]), fg_mean if fg[i] else bg_mean)
         for i in range(len(pixels))
-        if (i % w - i // w) % stride == 0
+        if (i % w - i // w) % TRAINING_STRIDE == 0
     }
     expected = oracles.wang_mendel_bruteforce(sorted(pairs), (in_part, in_part), out_part)
     assert result.rulebase.rules == expected
