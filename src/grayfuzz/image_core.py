@@ -379,8 +379,8 @@ def bimodal_phantom(
     quantization can reproduce the scene exactly.
     """
     yy, xx = np.mgrid[0:height, 0:width]
-    bg = low[0] + (low[1] - low[0]) * xx / (width - 1)
-    fg = high[0] + (high[1] - high[0]) * yy / (height - 1)
+    bg = low[0] + (low[1] - low[0]) * xx / max(width - 1, 1)  # a side of 1 has no ramp
+    fg = high[0] + (high[1] - high[0]) * yy / max(height - 1, 1)
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     disk = (xx - cx) ** 2 + (yy - cy) ** 2 <= (radius_fraction * min(width, height)) ** 2
     arr = np.round(np.where(disk, fg, bg)).astype(np.uint8)

@@ -162,6 +162,8 @@ class _Stats:
     """
 
     def __init__(self, hist: Histogram):
+        if hist.total <= 0:
+            raise ValueError("histogram is empty")
         self.hist = hist
         self.counts, self.total = hist.counts, hist.total
         self.first, self.last = hist.occupied_range()
@@ -198,11 +200,13 @@ def _lowest_argmin(values: np.ndarray, candidates: np.ndarray) -> int:
     return int(candidates[int(np.argmin(vals))])
 
 
-def _require_spread(stats: _Stats, method: ThresholdMethod):
-    if stats.first == stats.last:
+def _level(method: ThresholdMethod, stats: _Stats) -> int:
+    """One method's level from the shared statistics."""
+    if method not in _TOTAL_METHODS and stats.first == stats.last:
         raise ThresholdFailure(
             f"{method.value}: degenerate histogram (single occupied bin)"
         )
+    return _METHODS[method](stats)
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +421,16 @@ def compute_threshold(method: ThresholdMethod, hist: Histogram) -> int:
 
     Deterministic: ties between equally good levels go to the lowest one.
     """
-    if hist.total <= 0:
-        raise ValueError("histogram is empty")
-    method = ThresholdMethod(method)
-    stats = _Stats(hist)
-    if method not in _TOTAL_METHODS:
-        _require_spread(stats, method)
-    return _METHODS[method](stats)
+    return _level(ThresholdMethod(method), _Stats(hist))
 
 
 def threshold_report(hist: Histogram) -> ThresholdReport:
     """Run all fifteen methods; per-method failures land in the status column."""
+    stats = _Stats(hist)
     entries = {}
     for method in METHOD_ORDER:
         try:
-            level = compute_threshold(method, hist)
+            level = _level(method, stats)
             entries[method] = ThresholdEntry(level=level, status="converged")
         except ThresholdFailure:
             entries[method] = ThresholdEntry(level=None, status="failed")

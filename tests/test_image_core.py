@@ -290,6 +290,17 @@ class TestPhantoms:
         assert low_mass > 0 and high_mass > 0
         assert int(hist.counts[116:140].sum()) == 0
 
+    @pytest.mark.parametrize(
+        "width, height, expected",
+        [
+            # a side of 1 has no ramp: it sits at the ramp's low end
+            (1, 5, [35, 35, 180, 35, 35]),
+            (5, 1, [35, 55, 140, 95, 115]),
+        ],
+    )
+    def test_bimodal_side_of_one(self, width, height, expected):
+        assert bimodal_phantom(width, height).pixels.tolist() == expected
+
 
 class TestLoadImage:
     def test_png_decodes_like_pgm(self, tmp_path):

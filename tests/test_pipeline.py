@@ -58,7 +58,9 @@ class TestPixelKeys:
                 value * (255 * WINDOW * WINDOW + 1) + total
                 for value, total in zip(img.pixels.tolist(), oracles.window_sums(img, WINDOW))
             ]
-            assert _pixel_keys(img).tolist() == expected, (img.width, img.height)
+            keys = _pixel_keys(img)
+            assert keys.dtype == np.intp  # scatters and gathers index without a cast
+            assert keys.tolist() == expected, (img.width, img.height)
 
 
 class TestRuleLearning:

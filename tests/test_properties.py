@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from grayfuzz.fuzzy import FuzzyPartition, RuleBase, build_partition
-from grayfuzz.image_core import GrayImage
+from grayfuzz.image_core import GrayImage, NoiseSpec, add_gaussian_noise, bimodal_phantom
 from grayfuzz.pipeline import MIN_REGIONS, TRAINING_STRIDE, WINDOW, apply_rulebase, extract
 from grayfuzz.thresholding import (
     METHOD_ORDER,
@@ -130,8 +130,36 @@ def test_rules_match_lattice_bruteforce_with_tied_grades(noisy):
     assert result.rulebase.rules == expected
 
 
+def every_cell_rulebase(value_peaks, sum_peaks, consequents):
+    """A rule in every antecedent cell, its consequent cycling through
+    ``consequents`` and its degree falling from 1, over a seven-region output."""
+    ins = (FuzzyPartition(value_peaks), FuzzyPartition(sum_peaks))
+    out = FuzzyPartition((0.0, 40.0, 80.0, 120.0, 160.0, 200.0, 255.0))
+    cells = product(range(ins[0].region_count), range(ins[1].region_count))
+    rules = {
+        cell: (consequents[i % len(consequents)], 1.0 - i / 64.0) for i, cell in enumerate(cells)
+    }
+    return RuleBase(rules=rules, in_partitions=ins, out_partition=out)
+
+
 @reproducible
 @given(rulebases(), images())
+# No integer value lies between the peaks 127.5 and 128: an empty value bracket.
+@example(
+    every_cell_rulebase((0.0, 127.5, 128.0, 255.0), (0.0, 60.0, 140.0, 255.0), (1, 4)),
+    GrayImage(6, 6, [120, 127, 128, 129, 135, 60] * 3 + [128, 127, 200, 0, 255, 128] * 3),
+)
+# No window sum has a mean between 100.01 and 100.05: an empty sum bracket.
+@example(
+    every_cell_rulebase((0.0, 90.0, 110.0, 255.0), (0.0, 100.01, 100.05, 255.0), (2, 5)),
+    GrayImage(5, 5, [98, 99, 100, 101, 102, 100, 100, 101, 99, 100] * 2 + [97, 100, 103, 100, 100]),
+)
+# Many keys per slice: a noisy phantom, a rule in every cell, three spike levels.
+@example(
+    every_cell_rulebase((0.0, 42.5, 85.0, 127.5, 170.0, 212.5, 255.0),
+                        (0.0, 50.0, 100.0, 150.0, 200.0, 255.0), (1, 3, 5)),
+    add_gaussian_noise(bimodal_phantom(32, 32), NoiseSpec(sigma=30.0, seed=1)),
+)
 def test_random_rulebase_matches_per_pixel(base, image):
     restored, no_rule = apply_rulebase(base, image)
     assert (restored.pixels.tolist(), no_rule) == oracles.restore_per_pixel(base, image)

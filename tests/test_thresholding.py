@@ -175,8 +175,12 @@ class TestInvariants:
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_empty_histogram_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_report(Histogram(counts=np.zeros(256, dtype=np.int64), total=0))
+        empty = Histogram(counts=np.zeros(256, dtype=np.int64), total=0)
+        with pytest.raises(ValueError, match="empty"):
+            threshold_report(empty)
+        for method in ThresholdMethod:
+            with pytest.raises(ValueError, match="empty"):
+                compute_threshold(method, empty)
 
 
 class TestFusion:
