@@ -17,7 +17,8 @@ Cells average over images and seeds, carry four decimals, and use "inf" /
 
 Exit codes: 0 success, 1 usage error (all arguments are checked before a run
 starts), 2 I/O error, 3 degenerate input escalated by --strict, 4 internal
-fault (a ValueError raised inside a run that started).
+fault (any other exception raised inside a run that started, reported on one
+line without a traceback).
 """
 
 from __future__ import annotations
@@ -376,8 +377,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, PgmError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:  # every argument was checked before the run started
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # every argument was checked before the run started
+        message = " ".join(str(exc).split()) or type(exc).__name__  # one line, never empty
+        print(f"internal error: {message}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -13,12 +13,14 @@ where its memberships peak, carries a degree equal to the product of those
 memberships, and conflicting votes per antecedent are resolved by keeping
 the strongest.
 
-A rule base is applied to an image by ``pipeline.apply_rulebase``: each
-rule fires at ``degree * min(antecedent memberships)``, and its consequent
-is the discretized prototype of its output region, a unit spike at the
-region's peak level (``FuzzyPartition.spike_level``).  Spikes aggregate by
-max and decode by their centroid, which therefore interpolates between
-learned prototypes; an input sitting exactly on a prototype reproduces it.
+A ``RuleBase`` holds exactly two input partitions, one for the pixel value
+and one for its window mean, and one output partition.  It is applied to an
+image by ``pipeline.apply_rulebase``: each rule fires at ``degree *
+min(antecedent memberships)``, and its consequent is the discretized
+prototype of its output region, a unit spike at the region's peak level
+(``FuzzyPartition.spike_level``).  Spikes aggregate by max and decode by
+their centroid, which therefore interpolates between learned prototypes; an
+input sitting exactly on a prototype reproduces it.
 """
 
 from __future__ import annotations
@@ -89,37 +91,23 @@ class FuzzyPartition:
         width = p[i + 1] - p[i]
         return i, (p[i + 1] - x) / width, (x - p[i]) / width
 
-    def _grade(self, region, x) -> np.ndarray:
-        i, lower, upper = self._bracket(x)
-        return np.where(region == i, lower, np.where(region == i + 1, upper, 0.0))
-
     def _best_region(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """(maximum-membership region, its membership); lower index on ties."""
         i, lower, upper = self._bracket(x)
         return np.where(upper > lower, i + 1, i), np.maximum(lower, upper)
 
-    def _check_region(self, region_index) -> None:
-        if not (_is_int(region_index) and 0 <= region_index < self.region_count):
-            raise IndexError(f"region {region_index!r} is not an index in [0, {self.region_count})")
-
-    def evaluate(self, region_index: int, x) -> np.ndarray:
-        """Membership of x (scalar or array, within [0, 255]) in one region."""
-        self._check_region(region_index)
-        return self._grade(region_index, x)
-
     def memberships(self, x) -> np.ndarray:
-        """All region memberships at x; shape (region_count,) + x.shape."""
-        x = np.asarray(x, dtype=np.float64)
-        regions = np.arange(self.region_count).reshape((-1,) + (1,) * x.ndim)
-        return self._grade(regions, x)
+        """All region memberships at x (scalar or array, within [0, 255]);
+        shape (region_count,) + x.shape."""
+        i, lower, upper = self._bracket(x)
+        regions = np.arange(self.region_count).reshape((-1,) + (1,) * i.ndim)
+        return np.where(regions == i, lower, np.where(regions == i + 1, upper, 0.0))
 
     def spike_level(self, region_index: int) -> int:
         """Discretized prototype of a region: its peak as an intensity level."""
-        self._check_region(region_index)
+        if not (_is_int(region_index) and 0 <= region_index < self.region_count):
+            raise IndexError(f"region {region_index!r} is not an index in [0, {self.region_count})")
         return int(round_half_up(self.peaks[region_index]))
-
-    def to_json_dict(self) -> dict:
-        return {"peaks": list(self.peaks)}
 
 
 def _cluster_anchors(anchors: Sequence[float]) -> List[float]:
@@ -187,39 +175,36 @@ class RuleCandidates:
         return self.degrees.size
 
 
-def _partition_from_json(payload) -> FuzzyPartition:
-    peaks = payload.get("peaks") if isinstance(payload, dict) else None
-    if type(peaks) is not list:
-        raise ValueError(f"partition {payload!r}: peaks must be a list")
-    return FuzzyPartition(tuple(peaks))
-
-
 @dataclass(frozen=True)
 class RuleBase:
     """Conflict-resolved rule collection plus the partitions it was built
-    against; immutable, safe for concurrent read-only inference.  Every rule
-    names one integer region per input partition and an integer output
-    region, with a real degree in (0, 1]; the rules are stored, read-only, as
-    Python ``int`` and ``float``, so ``to_json_text`` always writes what
-    ``from_json_text`` reads back.  Rule bases hash and pickle by value."""
+    against; immutable, safe for concurrent read-only inference.  It has
+    exactly two input partitions, the pixel value's and the window mean's.
+    Every rule names one integer region per input partition and an integer
+    output region, with a real degree in (0, 1]; the rules are stored,
+    read-only, as Python ``int`` and ``float``, so ``to_json_text`` always
+    writes what ``from_json_text`` reads back.  Rule bases hash and pickle by
+    value."""
 
-    rules: Mapping[Tuple[int, ...], Tuple[int, float]]
-    in_partitions: Tuple[FuzzyPartition, ...]
+    rules: Mapping[Tuple[int, int], Tuple[int, float]]
+    in_partitions: Tuple[FuzzyPartition, FuzzyPartition]
     out_partition: FuzzyPartition
 
     def __post_init__(self):
-        partitions = (*self.in_partitions, self.out_partition)
-        if not all(isinstance(p, FuzzyPartition) for p in partitions):
+        in_partitions = tuple(self.in_partitions)
+        if len(in_partitions) != 2:
+            raise ValueError(f"a rule base needs 2 input partitions, not {len(in_partitions)}")
+        if not all(isinstance(p, FuzzyPartition) for p in (*in_partitions, self.out_partition)):
             raise ValueError("rule base partitions must be FuzzyPartition values")
         if not isinstance(self.rules, Mapping):
             raise ValueError(f"rules {self.rules!r} are not a mapping of antecedent to rule")
-        counts = [p.region_count for p in self.in_partitions]
+        counts = [p.region_count for p in in_partitions]
         rules = {}
         for antecedent, rule in self.rules.items():
             if not (isinstance(rule, tuple) and len(rule) == 2):
                 raise ValueError(f"rule {antecedent!r}: {rule!r} is not a (consequent, degree) pair")
             consequent, degree = rule
-            fits = isinstance(antecedent, tuple) and len(antecedent) == len(counts)
+            fits = isinstance(antecedent, tuple) and len(antecedent) == 2
             if not (fits and all(_is_int(r) and 0 <= r < n for r, n in zip(antecedent, counts))):
                 raise ValueError(f"rule {antecedent!r}: antecedent does not fit the input partitions")
             if not (_is_int(consequent) and 0 <= consequent < self.out_partition.region_count):
@@ -228,7 +213,7 @@ class RuleBase:
                 raise ValueError(f"rule {antecedent!r}: degree {degree!r} is not a real in (0, 1]")
             rules[tuple(int(region) for region in antecedent)] = (int(consequent), float(degree))
         object.__setattr__(self, "rules", MappingProxyType(rules))
-        object.__setattr__(self, "in_partitions", tuple(self.in_partitions))
+        object.__setattr__(self, "in_partitions", in_partitions)
 
     def __hash__(self) -> int:
         return hash((frozenset(self.rules.items()), self.in_partitions, self.out_partition))
@@ -239,22 +224,21 @@ class RuleBase:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json_text(self) -> str:
+        payload = {
             "schema": RULEBASE_SCHEMA,
-            "inputs": [p.to_json_dict() for p in self.in_partitions],
-            "output": self.out_partition.to_json_dict(),
+            "inputs": [{"peaks": list(p.peaks)} for p in self.in_partitions],
+            "output": {"peaks": list(self.out_partition.peaks)},
             "rules": [
                 {"antecedent": list(antecedent), "consequent": consequent, "degree": degree}
                 for antecedent, (consequent, degree) in sorted(self.rules.items())
             ],
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "RuleBase":
+    def from_json_text(cls, text: str) -> "RuleBase":
+        payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("rule base must be a JSON object")
         if payload.get("schema") != RULEBASE_SCHEMA:
@@ -262,8 +246,13 @@ class RuleBase:
         for key in ("inputs", "rules"):
             if type(payload.get(key)) is not list:
                 raise ValueError(f"rule base {key!r} must be a list")
-        in_parts = tuple(_partition_from_json(p) for p in payload["inputs"])
-        out_part = _partition_from_json(payload.get("output"))
+        partitions = []
+        for part in (*payload["inputs"], payload.get("output")):
+            peaks = part.get("peaks") if isinstance(part, dict) else None
+            if type(peaks) is not list:
+                raise ValueError(f"partition {part!r}: peaks must be a list")
+            partitions.append(FuzzyPartition(tuple(peaks)))
+        *in_parts, out_part = partitions
         rules = {}
         for r in payload["rules"]:
             if not isinstance(r, dict) or not r.keys() >= {"antecedent", "consequent", "degree"}:
@@ -278,10 +267,6 @@ class RuleBase:
                 raise ValueError(f"two rules share the antecedent {r['antecedent']!r}")
             rules[antecedent] = (r["consequent"], r["degree"])
         return cls(rules=rules, in_partitions=in_parts, out_partition=out_part)
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "RuleBase":
-        return cls.from_json_dict(json.loads(text))
 
 
 def generate_rules(

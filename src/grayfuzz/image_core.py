@@ -250,9 +250,11 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def load_pgm(data: bytes) -> GrayImage:
     """Parse a binary PGM (P5) byte string into a GrayImage.
 
-    Header tokens may be separated by any whitespace and '#' comments.
-    Distinct errors: malformed header, maxval > 255, truncated raster,
-    raster byte above maxval.
+    Header tokens may be separated by any whitespace and '#' comments, and
+    the numbers are ASCII decimal digits only.  Distinct errors: malformed
+    header, maxval > 255, truncated raster, raster byte above maxval.  Bytes
+    after the raster are ignored: Netpbm allows several images in one file,
+    and this reads the first.
     """
     magic, pos = _read_header_token(data, 0)
     if magic != b"P5":
@@ -260,10 +262,9 @@ def load_pgm(data: bytes) -> GrayImage:
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _read_header_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise MalformedHeaderError(f"non-numeric {name} token {token!r}") from None
+        if not token.isdigit():  # int() would also take '+' and '_'
+            raise MalformedHeaderError(f"non-numeric {name} token {token!r}")
+        fields.append(int(token))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise MalformedHeaderError(f"non-positive dimensions {width}x{height}")

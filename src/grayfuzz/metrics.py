@@ -36,11 +36,6 @@ class MetricsRecord:
     snr_db: float
     psnr_db: float
 
-    def to_csv_row(self) -> str:
-        return ",".join(
-            format_metric(v) for v in (self.mae, self.mse, self.snr_db, self.psnr_db)
-        )
-
     def to_json_dict(self) -> dict:
         def jsonable(v: float):
             return format_metric(v) if math.isinf(v) else round(v, 4)

@@ -157,8 +157,6 @@ def apply_rulebase(base: RuleBase, image: GrayImage) -> Tuple[GrayImage, int]:
     pixel value and its WINDOW x WINDOW mean, as ``extract`` does.  Returns
     the restored image and the number of pixels that fired no rule (set to 0).
     """
-    if len(base.in_partitions) != 2:
-        raise ValueError(f"need a rule base with 2 inputs, not {len(base.in_partitions)}")
     levels, no_rule = _apply_rulebase(base, _pixel_keys(image))
     return GrayImage(image.width, image.height, levels), no_rule
 

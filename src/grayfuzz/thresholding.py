@@ -118,11 +118,9 @@ class ThresholdReport:
         if set(self.entries) != set(METHOD_ORDER):
             raise ValueError("report must contain exactly the 15 methods")
 
-    def converged(self) -> List[ThresholdMethod]:
-        return [m for m in METHOD_ORDER if self.entries[m].status == "converged"]
-
     def converged_levels(self) -> List[int]:
-        return [self.entries[m].level for m in self.converged()]
+        entries = (self.entries[m] for m in METHOD_ORDER)
+        return [e.level for e in entries if e.status == "converged"]
 
     def majority_level(self) -> int:
         """Decision-level fusion: the split of the per-pixel majority vote of

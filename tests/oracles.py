@@ -470,7 +470,7 @@ def infer(base: RuleBase, inputs: Sequence[float]) -> FuzzyOutput:
     curve = np.zeros(256, dtype=np.float64)
     for antecedent, (consequent, degree) in sorted(base.rules.items()):
         grades = [
-            float(base.in_partitions[k].evaluate(region, inputs[k]))
+            float(base.in_partitions[k].memberships(inputs[k])[region])
             for k, region in enumerate(antecedent)
         ]
         strength = degree * min(grades)

@@ -1,10 +1,12 @@
-"""The benchmark's pinned output digests, checked in Tier-1.
+"""The benchmark's pinned output digests and its counters, checked in Tier-1.
 
 Runs one cycle of every workload in ``perfbench/workloads.py`` at the
 default workload seed and compares each output digest with
 ``perfbench/pins.json``, so a broken library call from a workload, or an
-output that moved, fails here before the benchmark runs.  The perfbench
-files are only read: no bytecode is cached beside them.
+output that moved, fails here before the benchmark runs.  Every counter in
+``perfbench/spans.py`` must name a function the tracer wraps; a renamed
+function would otherwise leave its counter reading 0.  The perfbench files
+are only read: no bytecode is cached beside them.
 """
 
 import importlib.util
@@ -15,8 +17,8 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     writes_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -28,7 +30,7 @@ def _load_workloads():
 
 
 def test_every_workload_matches_its_pins(tmp_path):
-    workloads = _load_workloads()
+    workloads = _load("workloads")
     digests = {}
     for name, cls in workloads.WORKLOADS.items():
         workload = cls()
@@ -43,3 +45,8 @@ def test_every_workload_matches_its_pins(tmp_path):
             finally:
                 workload.cleanup(args)
     assert digests == json.loads((PERFBENCH / "pins.json").read_text())
+
+
+def test_every_counter_names_a_traced_function():
+    spans = _load("spans")
+    assert sorted(set(spans.COUNTERS) - set(spans.public_functions())) == []

@@ -107,7 +107,7 @@ class TestSingle:
 
 
 class TestInternalFault:
-    """A ValueError raised after every argument was checked is an internal
+    """An exception raised after every argument was checked is an internal
     fault (exit 4), not a usage error."""
 
     @pytest.fixture(autouse=True)
@@ -125,6 +125,22 @@ class TestInternalFault:
     def test_benchmark(self, small_pgm, capsys):
         assert main(["benchmark", "--input", str(small_pgm), "--sigma", "15"]) == 4
         assert capsys.readouterr().err.startswith("internal error: fault inside")
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(MemoryError(), "MemoryError"), (RuntimeError("two\nlines"), "two lines")],
+        ids=["no-text", "multi-line"],
+    )
+    def test_any_exception_is_internal(
+        self, small_pgm, tmp_path, capsys, monkeypatch, error, message
+    ):
+        def extract(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "extract", extract)
+        code = main(["single", "--input", str(small_pgm), "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err == f"internal error: {message}\n"
 
     def test_bad_arguments_still_usage_errors(self, small_pgm, tmp_path):
         assert main(["single", "--input", str(small_pgm), "--sigma", "nan",

@@ -39,7 +39,7 @@ class TestBuildPartition:
         part = build_partition([128], min_regions=3)
         assert part.region_count == 3
         assert part.peaks == (0.0, 128.0, 255.0)
-        assert float(part.evaluate(1, 128.0)) == 1.0
+        assert part.memberships(128.0)[1] == 1.0
 
     def test_clustering_example(self):
         part = build_partition([100, 101, 200], min_regions=2)
@@ -116,30 +116,25 @@ class TestMembership:
         self.part = build_partition([100, 200], min_regions=2)  # peaks 0,100,200,255
 
     def test_peak_is_one(self):
-        assert float(self.part.evaluate(1, 100.0)) == 1.0
+        assert self.part.memberships(100.0)[1] == 1.0
 
     def test_adjacent_peak_is_zero(self):
-        assert float(self.part.evaluate(1, 200.0)) == 0.0
-        assert float(self.part.evaluate(1, 0.0)) == 0.0
+        assert self.part.memberships(200.0)[1] == 0.0
+        assert self.part.memberships(0.0)[1] == 0.0
 
     def test_midway_is_half(self):
-        assert float(self.part.evaluate(1, 150.0)) == pytest.approx(0.5)
-        assert float(self.part.evaluate(2, 150.0)) == pytest.approx(0.5)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            float(self.part.evaluate(9, 10.0))
+        assert self.part.memberships(150.0)[1] == pytest.approx(0.5)
+        assert self.part.memberships(150.0)[2] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("index", [1.5, 1.0, True])
-    @pytest.mark.parametrize("call", ["evaluate", "spike_level"])
+    @pytest.mark.parametrize("call", ["spike_level"])
     def test_non_integer_index_rejected(self, call, index):
-        args = (index, 100.0) if call == "evaluate" else (index,)
         with pytest.raises(IndexError):
-            getattr(self.part, call)(*args)
+            getattr(self.part, call)(index)
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
-            float(self.part.evaluate(0, 300.0))
+            self.part.memberships(300.0)
 
 
 class TestGenerateRules:
@@ -186,35 +181,35 @@ class TestCombine:
         self.part = build_partition([100, 200], min_regions=2)
 
     def test_max_degree_wins(self):
-        rules = candidates(((1,), 2, 0.4), ((1,), 1, 0.9))
-        base = combine(rules, (self.part,), self.part)
-        assert base.rules[(1,)] == (1, 0.9)
+        rules = candidates(((1, 0), 2, 0.4), ((1, 0), 1, 0.9))
+        base = combine(rules, (self.part, self.part), self.part)
+        assert base.rules[(1, 0)] == (1, 0.9)
 
     def test_disjoint_antecedents_survive(self):
-        rules = candidates(((0,), 1, 0.5), ((1,), 2, 0.5))
-        base = combine(rules, (self.part,), self.part)
+        rules = candidates(((0, 0), 1, 0.5), ((1, 0), 2, 0.5))
+        base = combine(rules, (self.part, self.part), self.part)
         assert len(base) == 2
 
     def test_order_independent(self):
         rng = np.random.default_rng(5)
         rules = [
             (
-                (int(rng.integers(0, 3)),),
+                (int(rng.integers(0, 3)), 0),
                 int(rng.integers(0, 3)),
                 float(rng.choice([0.25, 0.5, 0.75])),
             )
             for _ in range(60)
         ]
-        base_a = combine(candidates(*rules), (self.part,), self.part)
+        base_a = combine(candidates(*rules), (self.part, self.part), self.part)
         shuffled = list(rules)
         rng.shuffle(shuffled)
-        base_b = combine(candidates(*shuffled), (self.part,), self.part)
+        base_b = combine(candidates(*shuffled), (self.part, self.part), self.part)
         assert base_a.rules == base_b.rules
 
     def test_tie_goes_to_lower_consequent(self):
-        rules = candidates(((1,), 2, 0.5), ((1,), 1, 0.5))
-        base = combine(rules, (self.part,), self.part)
-        assert base.rules[(1,)] == (1, 0.5)
+        rules = candidates(((1, 0), 2, 0.5), ((1, 0), 1, 0.5))
+        base = combine(rules, (self.part, self.part), self.part)
+        assert base.rules[(1, 0)] == (1, 0.5)
 
         # many cells, each with an equal-degree tie and a weaker lower consequent
         rng = np.random.default_rng(8)
@@ -239,13 +234,13 @@ class TestCombine:
             RuleCandidates(antecedents=antecedents, consequents=consequents, degrees=[1.0])
 
     def test_nan_degree_never_wins(self):
-        rules = candidates(((1,), 0, float("nan")), ((1,), 2, 0.5))
-        assert combine(rules, (self.part,), self.part).rules == {(1,): (2, 0.5)}
+        rules = candidates(((1, 0), 0, float("nan")), ((1, 0), 2, 0.5))
+        assert combine(rules, (self.part, self.part), self.part).rules == {(1, 0): (2, 0.5)}
 
     @pytest.mark.parametrize("consequent", [-1, 4])
     def test_consequent_outside_output_rejected(self, consequent):
         with pytest.raises(ValueError):
-            combine(candidates(((1,), consequent, 0.5)), (self.part,), self.part)
+            combine(candidates(((1, 0), consequent, 0.5)), (self.part, self.part), self.part)
 
 
 class TestInfer:
@@ -253,39 +248,39 @@ class TestInfer:
         self.part = build_partition([100, 200], min_regions=2)
 
     def test_singleton_base_at_peaks(self):
-        base = combine(candidates(((1,), 2, 1.0)), (self.part,), self.part)
-        out = infer(base, (100.0,))
+        base = combine(candidates(((1, 0), 2, 1.0)), (self.part, self.part), self.part)
+        out = infer(base, (100.0, 0.0))
         expected = np.zeros(256)
         expected[200] = 1.0  # the consequent envelope: unit spike at the prototype
         assert np.array_equal(out.samples, expected)
 
     def test_zero_membership_everywhere(self):
-        base = combine(candidates(((3,), 1, 1.0)), (self.part,), self.part)
-        out = infer(base, (100.0,))  # region 3 peaks at 255; membership at 100 is 0
+        base = combine(candidates(((3, 0), 1, 1.0)), (self.part, self.part), self.part)
+        out = infer(base, (100.0, 0.0))  # region 3 peaks at 255; membership at 100 is 0
         assert not out.samples.any()
 
     def test_two_rules_pointwise_max(self):
         base = combine(
-            candidates(((1,), 1, 1.0), ((2,), 2, 1.0)), (self.part,), self.part
+            candidates(((1, 0), 1, 1.0), ((2, 0), 2, 1.0)), (self.part, self.part), self.part
         )
-        out = infer(base, (150.0,))  # fires both at strength 0.5
+        out = infer(base, (150.0, 0.0))  # fires both at strength 0.5
         assert out.samples[100] == pytest.approx(0.5)
         assert out.samples[200] == pytest.approx(0.5)
         assert np.count_nonzero(out.samples) == 2
 
     def test_monotone_in_degree(self):
         for low, high in [(0.3, 0.6), (0.5, 0.9)]:
-            base_low = combine(candidates(((1,), 1, low)), (self.part,), self.part)
-            base_high = combine(candidates(((1,), 1, high)), (self.part,), self.part)
+            base_low = combine(candidates(((1, 0), 1, low)), (self.part, self.part), self.part)
+            base_high = combine(candidates(((1, 0), 1, high)), (self.part, self.part), self.part)
             for x in (80.0, 100.0, 130.0):
                 assert np.all(
-                    infer(base_high, (x,)).samples >= infer(base_low, (x,)).samples
+                    infer(base_high, (x, 0.0)).samples >= infer(base_low, (x, 0.0)).samples
                 )
 
     def test_empty_base_rejected(self):
-        base = RuleBase(rules={}, in_partitions=(self.part,), out_partition=self.part)
+        base = RuleBase(rules={}, in_partitions=(self.part, self.part), out_partition=self.part)
         with pytest.raises(ValueError):
-            infer(base, (100.0,))
+            infer(base, (100.0, 0.0))
 
 
 class TestDefuzzify:
@@ -415,7 +410,7 @@ class TestRuleBaseChecks:
 
     def test_partitions_must_be_fuzzy_partitions(self):
         with pytest.raises(ValueError):
-            RuleBase(rules={}, in_partitions=((0.0, 255.0),), out_partition=self.two)
+            RuleBase(rules={}, in_partitions=(self.two, (0.0, 255.0)), out_partition=self.two)
 
     def test_numpy_rules_stored_as_python_values(self):
         base = RuleBase(
@@ -450,14 +445,14 @@ class TestDefuzzRange:
             part = random_partition(rng, max_anchors=4, min_regions=3)
             pairs = [
                 (
-                    (float(rng.uniform(0, 255)),),
+                    (float(rng.uniform(0, 255)), 0.0),
                     float(rng.uniform(0, 255)),
                 )
                 for _ in range(30)
             ]
-            base = learn(pairs, (part,), part)
+            base = learn(pairs, (part, part), part)
             spikes = [base.out_partition.spike_level(c) for c, _ in base.rules.values()]
             for x in rng.uniform(0, 255, size=5):
-                result = defuzzify(infer(base, (float(x),)))
+                result = defuzzify(infer(base, (float(x), 0.0)))
                 if not result.no_rule_fired:
                     assert min(spikes) <= result.level <= max(spikes)

@@ -61,6 +61,24 @@ class TestPgm:
         with pytest.raises(MalformedHeaderError):
             load_pgm(b"P5 1 1")
 
+    @pytest.mark.parametrize(
+        "data, token",
+        [
+            (b"P5 1_0 1 255\n" + bytes(10), b"1_0"),
+            (b"P5 +2 1 255\n" + bytes(2), b"+2"),
+            (b"P5 2 1 +255\n" + bytes(2), b"+255"),
+        ],
+    )
+    def test_header_numbers_are_ascii_digits(self, data, token):
+        # int() alone reads 1_0 as 10 and +2 as 2
+        with pytest.raises(MalformedHeaderError, match=repr(token).replace("+", r"\+")):
+            load_pgm(data)
+
+    def test_bytes_after_raster_ignored(self):
+        # Netpbm allows several images in one file; the first one is read
+        img = GrayImage(3, 2, [1, 2, 3, 4, 5, 6])
+        assert load_pgm(save_pgm(img) + b"junk") == img
+
     def test_canonical_serialization(self):
         data = save_pgm(GrayImage(1, 1, [128]))
         assert data == b"P5\n1 1\n255\n" + bytes([128])

@@ -124,11 +124,10 @@ class TestCensus:
 class TestSerialization:
     def test_four_decimals(self):
         record = MetricsRecord(mae=1.0, mse=2.0, snr_db=18.99321, psnr_db=45.12341)
-        assert record.to_csv_row() == "1.0000,2.0000,18.9932,45.1234"
+        assert record.to_json_dict() == {"mae": 1.0, "mse": 2.0, "snr_db": 18.9932, "psnr_db": 45.1234}
 
     def test_inf_sentinel(self):
         record = MetricsRecord(mae=0.0, mse=0.0, snr_db=math.inf, psnr_db=math.inf)
-        assert record.to_csv_row() == "0.0000,0.0000,inf,inf"
         payload = record.to_json_dict()
         assert payload["psnr_db"] == "inf"
 

@@ -1,6 +1,11 @@
 """Property tests: extract on arbitrary small images, rule-base replay against
-the per-pixel oracle, and majority fusion against the vote loop."""
+the per-pixel oracle, majority fusion against the vote loop, the PGM reader
+on arbitrary bytes and the command line on arbitrary argument lists."""
 
+import contextlib
+import io
+import json
+import re
 from itertools import product
 
 import numpy as np
@@ -9,8 +14,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from grayfuzz.fuzzy import FuzzyPartition, RuleBase, build_partition
-from grayfuzz.image_core import GrayImage, NoiseSpec, add_gaussian_noise, bimodal_phantom
+from grayfuzz.cli import main
+from grayfuzz.fuzzy import FuzzyPartition, RuleBase, build_partition, combine, generate_rules
+from grayfuzz.image_core import (
+    GrayImage,
+    NoiseSpec,
+    PgmError,
+    add_gaussian_noise,
+    bimodal_phantom,
+    load_pgm,
+    save_pgm,
+)
 from grayfuzz.pipeline import MIN_REGIONS, TRAINING_STRIDE, WINDOW, apply_rulebase, extract
 from grayfuzz.thresholding import (
     METHOD_ORDER,
@@ -166,10 +180,22 @@ def test_random_rulebase_matches_per_pixel(base, image):
 
 
 def test_apply_rulebase_needs_two_inputs():
+    # a rule base of any other input count cannot be built, learned or loaded
     part = FuzzyPartition((0.0, 255.0))
-    base = RuleBase(rules={(0,): (0, 1.0)}, in_partitions=(part,), out_partition=part)
-    with pytest.raises(ValueError, match="inputs"):
-        apply_rulebase(base, GrayImage(1, 1, [0]))
+    two_input_json = RuleBase({(0, 0): (0, 1.0)}, (part, part), part).to_json_text()
+    for count in (1, 3):
+        parts = (part,) * count
+        match = f"2 input partitions, not {count}"
+        with pytest.raises(ValueError, match=match):
+            RuleBase(rules={(0,) * count: (0, 1.0)}, in_partitions=parts, out_partition=part)
+        candidates = generate_rules([[0.0] * count], [0.0], parts, part)
+        with pytest.raises(ValueError, match=match):
+            combine(candidates, parts, part)
+        payload = json.loads(two_input_json)
+        payload["inputs"] = [{"peaks": [0.0, 255.0]}] * count
+        payload["rules"][0]["antecedent"] = [0] * count
+        with pytest.raises(ValueError, match=match):
+            RuleBase.from_json_text(json.dumps(payload))
 
 
 @reproducible
@@ -187,3 +213,125 @@ def test_majority_fusion_matches_vote_loop(levels, pixels):
     image = GrayImage(len(pixels), 1, pixels)
     fused = image.pixels > ThresholdReport(entries=entries).majority_level()
     assert fused.tolist() == oracles.majority_vote(image.pixels, levels).tolist()
+
+
+# (valid, invalid) header numbers; int() alone would read +2, 0_3, +255 and 2_55
+sides = ([b"1", b"2", b"3", b"02"], [b"0", b"+2", b"0_3", b"\xd9\xa3", b"99999999999"])
+maxvals = ([b"255", b"255", b"15"], [b"0", b"256", b"+255", b"2_55"])
+header_separators = st.sampled_from([b" ", b"\n", b"\t\r", b"\x0b", b"\n# note 1 2\n"])
+
+
+@st.composite
+def pgm_files(draw):
+    """(bytes shaped like a binary PGM, the raster a reader must return), the
+    raster None where the format rejects the bytes: a magic other than P5,
+    header numbers that are not ASCII decimal digits, a zero side, a maxval
+    outside [1, 255], a short raster, a raster byte above maxval or a file
+    cut inside its header."""
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P5", b"P2", b"P6"]))
+    tokens = []
+    for valid, invalid in (sides, sides, maxvals):  # each valid three times in four
+        tokens.append(draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 0 else valid)))
+    header = magic
+    for token in tokens:
+        header += draw(header_separators) + token
+    header += draw(st.sampled_from([b" ", b"\t", b"\n", b"\r"]))
+    short = draw(st.integers(0, 5)) == 0  # a 3x3 raster needs 9 bytes
+    data = header + draw(st.binary(max_size=8) if short else st.binary(min_size=9, max_size=12))
+    data = data[:draw(st.integers(0, len(data)))] if draw(st.integers(0, 5)) == 0 else data
+    if magic != b"P5" or len(data) < len(header):
+        return data, None
+    if not all(re.fullmatch(rb"[0-9]+", token) for token in tokens):
+        return data, None
+    width, height, maxval = (int(token) for token in tokens)
+    raster = data[len(header):len(header) + width * height]
+    if min(width, height) < 1 or not 1 <= maxval <= 255 or len(raster) < width * height:
+        return data, None
+    return data, (raster if max(raster) <= maxval else None)
+
+
+@reproducible
+@given(pgm_files(), st.binary(max_size=40))
+def test_load_pgm_raises_pgm_error_or_keeps_the_raster(case, data):
+    pgm, raster = case
+    if raster is None:
+        with pytest.raises(PgmError):
+            load_pgm(pgm)
+    else:
+        assert save_pgm(load_pgm(pgm)).endswith(raster)
+    try:
+        image = load_pgm(data)
+    except PgmError:
+        return
+    assert save_pgm(image)[-image.pixels.size:] in data
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Paths the command-line property draws from: tiny images, a corrupt
+    and a missing image, configs good and bad, and output locations."""
+    root = tmp_path_factory.mktemp("cli")
+    files = {
+        "two.pgm": save_pgm(GrayImage(2, 2, [10, 200, 30, 220])),
+        "flat.pgm": save_pgm(GrayImage(1, 1, [7])),
+        "corrupt.pgm": b"P5 2 2 255\n" + bytes(3),
+        "photo.png": b"not a png",
+        "good.json": json.dumps({"sigmas": [30], "methods": ["Otsu", "proposed"]}).encode(),
+        "bad.json": b'{"sigmas": "30"}',
+        "junk.json": b"{",
+    }
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    return {
+        "images": [str(root / "two.pgm"), str(root / "flat.pgm")],
+        "configs": [str(root / "good.json")],
+        "other": [str(root / name) for name in ("corrupt.pgm", "photo.png", "bad.json",
+                                                 "junk.json", "missing.pgm")],
+        "out": [str(root / "out")],
+        "csv": [str(root / "m.csv")],
+    }
+
+
+@st.composite
+def argv_lists(draw, files):
+    """A subcommand with its required flags and a few of its others, their
+    values mostly valid; now and then the subcommand is wrong or one token is
+    dropped."""
+    values = {  # (valid, invalid)
+        "--input": (files["images"], files["other"]),
+        "--config": (files["configs"], files["other"]),
+        "--out-dir": (files["out"], files["images"]),
+        "--csv": (files["csv"], files["images"]),
+        "--sigma": (["30", "75", "0"], ["-1", "nan", "1e400", "x"]),
+        "--seed": (["1", "2"], ["-2", "1.5"]),
+        "--compare": (["restored", "binarized-means"], ["x"]),
+        "--methods": (["Otsu,proposed", "Mean"], ["bogus", ","]),
+    }
+    command = draw(st.sampled_from(["single", "benchmark"]))
+    if command == "single":
+        flags, optional = ["--input", "--out-dir"], ["--sigma", "--seed", "--compare", "--strict"]
+    else:
+        flags, optional = ["--input"], sorted(values) + ["--strict"]
+    flags += draw(st.lists(st.sampled_from(optional), max_size=3))
+    argv = [command if draw(st.integers(0, 9)) else "bogus"]
+    for flag in flags:
+        argv.append(flag)
+        if flag in values:
+            valid, invalid = values[flag]
+            argv.append(draw(st.sampled_from(invalid if draw(st.integers(0, 5)) == 0 else valid)))
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@reproducible
+@given(data=st.data())
+def test_main_exit_codes(cli_files, data):
+    argv = data.draw(argv_lists(cli_files))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in {0, 1, 2, 3, 4}
+    assert (code == 1) == err.startswith("usage error:")
+    assert "Traceback" not in err
